@@ -1,5 +1,8 @@
 #!/usr/bin/env python
-"""Run every experiment against its default config and collect CSVs.
+"""Run every default config in configs/ and collect the CSVs.
+
+A config's file name begins with its subcommand (``audit_gaussian_d2.json``
+runs ``audit``), and its CSV is written to ``OUT_DIR/<config name>/``.
 
 Usage: python scripts/run_all_experiments.py [OUT_DIR]
 """
@@ -9,23 +12,16 @@ from pathlib import Path
 
 from boxcgf.cli import main
 
-ROOT = Path(__file__).resolve().parent.parent
-RUNS = [
-    ("lrp", "lrp_gaussian_d1.json"),
-    ("mdp", "mdp_gaussian_d1.json"),
-    ("clt", "clt_nonlinear_d1.json"),
-    ("additivity", "additivity_gaussian_d1.json"),
-    ("audit", "audit_gaussian_d1.json"),
-    ("calibrate", "calibrate_gaussian_d1.json"),
-]
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 if __name__ == "__main__":
-    out = sys.argv[1] if len(sys.argv) > 1 else "out"
+    out = Path(sys.argv[1] if len(sys.argv) > 1 else "out")
     worst = 0
-    for command, config in RUNS:
-        print(f"== {command} ({config})", file=sys.stderr)
-        code = main([command, "--config", str(ROOT / "configs" / config),
-                     "--out", out])
+    for config in sorted(CONFIGS.glob("*.json")):
+        command = config.stem.split("_")[0]
+        print(f"== {command} ({config.name})", file=sys.stderr)
+        code = main([command, "--config", str(config), "--out",
+                     str(out / config.stem)])
         worst = max(worst, code)
     sys.exit(worst)

@@ -121,7 +121,9 @@ def normalize_to_scale(b: Box, C: float) -> int:
         n += a
     v = vol(b)
     cd2n = C ** b.d * 2.0 ** n
-    assert 2.0 ** (-b.d) * v < cd2n * (1 + 1e-12) and cd2n <= v * (1 + 1e-12)
+    if not (2.0 ** (-b.d) * v < cd2n * (1 + 1e-12) and cd2n <= v * (1 + 1e-12)):
+        raise BoxError(f"normalization of {b.sides} to scale {C} gave n={n} "
+                       "outside the volume bracket")
     return n
 
 

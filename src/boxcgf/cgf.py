@@ -148,7 +148,15 @@ def estimate_cgf(model: FieldModel, b: Box, lambdas, n_samples: int,
         ci[i] = Z95 * w.std() / (wbar * math.sqrt(n_samples))
         ess = w.sum() ** 2 / (w * w).sum()
         reliable[i] = ess >= MIN_EFFECTIVE_SAMPLES
-    assert np.all(f >= -ci - 1e-12), "CGF estimate violates nonnegativity"
+    # Jensen on the empirical measure: log mean exp(lam*y) >= lam * mean(y),
+    # up to the rounding of terms as large as |lam| * max|y|
+    jensen = lam * y.mean()
+    tol = 1e-12 * (1.0 + np.abs(lam) * np.abs(y).max())
+    bad = np.flatnonzero(f < jensen - tol)
+    if bad.size:
+        i = bad[0]
+        raise CgfError(f"CGF estimate {f[i]!r} at lambda {lam[i]!r} is below "
+                       f"the Jensen bound {jensen[i]!r}")
     return CgfEstimate(b, lam, f, ci, reliable, n_samples)
 
 

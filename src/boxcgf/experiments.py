@@ -16,8 +16,8 @@ import numpy as np
 from scipy.stats import kstest, norm
 
 from .boxes import Box, halve_n, normalize_to_scale, vol, width
-from .cgf import (Z95, delta_cap, estimate_cgf, exact_cgf, lambda_grid,
-                  quad_envelope)
+from .cgf import (Z95, QuadEnvelope, delta_cap, estimate_cgf, exact_cgf,
+                  lambda_grid, quad_envelope)
 from .config import ExperimentConfig
 from .engine import (CertificateError, calibrate_c1, iterate_quadratic_lower,
                      iterate_quadratic_upper, ladder_descent)
@@ -315,6 +315,25 @@ def run_certificate_audit(cfg: ExperimentConfig, workers: int = 1) -> Experiment
     gaussian = _is_gaussian(cfg)
     base_scale = cfg.audit_base_scale or 2.0 * params.c1
 
+    def base_of(b: Box) -> tuple[int, Box]:
+        n = normalize_to_scale(b, base_scale)
+        return n, halve_n(b, n)
+
+    def base_envelope(base: Box) -> QuadEnvelope:
+        delta0 = delta_cap(vol(base), params.c1, model.d)
+        if gaussian:
+            est = exact_cgf(model, base, lambda_grid(delta0))
+        else:
+            est = estimate_cgf(model, base, lambda_grid(delta0),
+                               cfg.n_samples, cfg.seed)
+        return quad_envelope(est, delta0)
+
+    # boxes normalising to one base share its envelope: estimate each base
+    # once, listed in box order so the result never depends on thread timing
+    bases = list(dict.fromkeys(base_of(b)[1] for b in cfg.boxes
+                               if width(b) >= base_scale))
+    envelopes = dict(zip(bases, _map_ordered(base_envelope, bases, workers)))
+
     def one_box(b: Box) -> dict:
         v = vol(b)
         if width(b) < base_scale:
@@ -322,15 +341,9 @@ def run_certificate_audit(cfg: ExperimentConfig, workers: int = 1) -> Experiment
                         upper=float("nan"), reference=float("nan"), sound=False,
                         ladder_ok=False, **{"pass": False},
                         note="width below base scale", flagged=True)
-        n = normalize_to_scale(b, base_scale)
-        base = halve_n(b, n)
-        delta0 = delta_cap(vol(base), params.c1, model.d)
-        if gaussian:
-            est = exact_cgf(model, base, lambda_grid(delta0))
-        else:
-            est = estimate_cgf(model, base, lambda_grid(delta0),
-                               cfg.n_samples, cfg.seed)
-        env = quad_envelope(est, delta0)
+        n, base = base_of(b)
+        env = envelopes[base]
+        delta0 = env.delta
         note = ""
         try:
             up = iterate_quadratic_upper(env.U, delta0, b, n, params)

@@ -70,18 +70,6 @@ class FieldModel:
             raise FieldModelError("clip level must be >= 0")
 
 
-@dataclass(frozen=True)
-class SampleRequest:
-    model: FieldModel
-    box: Box
-    seed: int
-    replica_index: int
-
-    def __post_init__(self) -> None:
-        if self.box.d != self.model.d:
-            raise FieldModelError("box dimension does not match model dimension")
-
-
 def kernel_weight(model: FieldModel, u: float) -> float:
     """Continuum kernel weight at lag u (support [0, m))."""
     if u < 0.0 or u >= model.m:
@@ -144,32 +132,44 @@ def _apply_nonlinearity(model: FieldModel, g: np.ndarray) -> np.ndarray:
     return np.clip(g, -lv, lv)
 
 
-def _valid_correlate(noise: np.ndarray, taps: np.ndarray, d: int) -> np.ndarray:
-    # separable product kernel: correlate each axis with the 1-d taps
+def _valid_correlate(noise: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Valid-mode correlation of every axis with the 1-d taps.
+
+    The kernel is a separable product, so each axis is filtered in turn:
+    out[i] = sum_j noise[i + j] * taps[j], added up over j in increasing
+    order as whole shifted slices.  Slices keep C order, so the result is
+    laid out (and later reduced) exactly as a per-line convolution's.
+    """
     arr = noise
-    rev = taps[::-1]
-    for axis in range(d):
-        arr = np.apply_along_axis(lambda x: np.convolve(x, rev, mode="valid"), axis, arr)
+    k = len(taps)
+    for axis in range(noise.ndim):
+        n = arr.shape[axis] - k + 1
+        lead = (slice(None),) * axis
+        out = arr[lead + (slice(0, n),)] * taps[0]
+        for j in range(1, k):
+            out += arr[lead + (slice(j, j + n),)] * taps[j]
+        arr = out
     return arr
 
 
-def sample_integral(req: SampleRequest) -> float:
+def sample_integral(model: FieldModel, b: Box, seed: int, replica: int) -> float:
     """One realization of the integral of the field over the box.
 
-    Deterministic in (model, box, seed, replica_index); bit-identical
-    under any execution order.
+    Deterministic in (model, box, seed, replica); bit-identical under any
+    execution order.
     """
-    model, b = req.model, req.box
+    if b.d != model.d:
+        raise FieldModelError("box dimension does not match model dimension")
     if model.kind == "iid_block":
-        return _block_integral(model, b, req.seed, req.replica_index)
+        return _block_integral(model, b, seed, replica)
     h = model.grid_h
     taps = _taps(model)
     k = len(taps)
     npts = _grid_points(model, b)
     lo = tuple(-(k - 1) for _ in range(model.d))
     hi = npts
-    noise = white_noise(req.seed, req.replica_index, lo, hi)
-    g = (h ** (model.d / 2.0)) * _valid_correlate(noise, taps, model.d)
+    noise = white_noise(seed, replica, lo, hi)
+    g = (h ** (model.d / 2.0)) * _valid_correlate(noise, taps)
     x = _apply_nonlinearity(model, g)
     return float(h ** model.d * x.sum())
 
@@ -230,8 +230,7 @@ def sample_integrals(model: FieldModel, b: Box, seed: int, n_samples: int) -> np
             pos += take
             chunk_idx += 1
         return out
-    return np.array([sample_integral(SampleRequest(model, b, seed, i))
-                     for i in range(n_samples)])
+    return np.array([sample_integral(model, b, seed, i) for i in range(n_samples)])
 
 
 def _axis_covariance(model: FieldModel, u: float) -> float:

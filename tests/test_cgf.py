@@ -9,7 +9,7 @@ from boxcgf.boxes import box, vol
 from boxcgf.cgf import (CgfError, QuadEnvelope, delta_cap, estimate_cgf,
                         exact_cgf, face_scale, iso_length, lambda_grid,
                         log_pow, oscillation_check, quad_envelope)
-from boxcgf.fields import FieldModel, exact_box_variance
+from boxcgf.fields import FieldModel, exact_box_variance, sample_integrals
 
 GAUSS1 = FieldModel(d=1, kind="gaussian_ma", m=1.0)
 
@@ -72,6 +72,19 @@ def test_estimate_interpolation_flag():
     assert est.value_at(0.1)[2] is True
     with pytest.raises(CgfError):
         est.value_at(0.5)
+
+
+@pytest.mark.parametrize("seed", [17, 18, 31, 48])
+def test_estimate_survives_mean_outside_its_ci(seed):
+    # on these seeds the sample mean lies outside its own 95% interval, so
+    # f < -ci at small |lambda|; that is no fault, only Jensen must hold
+    clipped = FieldModel(d=1, kind="bounded_nonlinear_ma", m=1.0,
+                         nonlinearity="clipped")
+    b = box(8.0)
+    est = estimate_cgf(clipped, b, lambda_grid(1.0), 2000, seed=seed)
+    assert np.any(est.f < -est.ci - 1e-12)
+    ybar = sample_integrals(clipped, b, seed, 2000).mean() / math.sqrt(vol(b))
+    assert np.all(est.f >= est.lambdas * ybar - 1e-12)
 
 
 def test_estimate_requires_enough_samples():

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from boxcgf import experiments
 from boxcgf.cli import main
 from boxcgf.config import ConfigError, ExperimentConfig
 from boxcgf.experiments import (run_additivity, run_calibrate,
@@ -149,6 +151,29 @@ def test_audit_small_box_flagged():
     rep = run_certificate_audit(small_config(boxes=[[6.0]]))
     (row,) = rep.rows
     assert row["flagged"] and row["note"] == "width below base scale"
+
+
+def test_audit_estimates_shared_base_once(monkeypatch):
+    # 256, 1024 and 4096 all normalise to the base box [8.0]
+    cfg = small_config(model={"d": 1, "kind": "bounded_nonlinear_ma", "m": 1.0,
+                              "nonlinearity": "clipped"},
+                       boxes=[[256.0], [1024.0], [4096.0]], n_samples=2000,
+                       n_replicas=200, seed=0)
+    calls = []
+    estimate = experiments.estimate_cgf
+
+    def counted(model, b, *args, **kwargs):
+        calls.append(b.sides)
+        return estimate(model, b, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate_cgf", counted)
+    rep = run_certificate_audit(cfg, workers=2)
+    assert calls == [(8.0,)]
+    # one box per run estimates its own base: the rows of the shared run
+    # must be those runs' rows
+    single = [run_certificate_audit(dataclasses.replace(cfg, boxes=[b])).to_csv()
+              for b in cfg.boxes]
+    assert rep.to_csv().splitlines()[1:] == [s.splitlines()[1] for s in single]
 
 
 def test_calibrate_reports_c1():

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from boxcgf.boxes import box
 from boxcgf.fields import (FieldModel, FieldModelError, NoClosedFormError,
-                           SampleRequest, discrete_box_variance,
+                           _taps, _valid_correlate, discrete_box_variance,
                            exact_box_variance, exact_gaussian_cgf,
                            exact_sigma2, kernel_weight, sample_integral,
                            sample_integrals, white_noise)
@@ -117,18 +119,16 @@ def test_white_noise_streams_disjoint():
 
 
 def test_sample_integral_deterministic():
-    req = SampleRequest(GAUSS1, box(25.0), seed=42, replica_index=7)
-    assert sample_integral(req) == sample_integral(req)
+    assert (sample_integral(GAUSS1, box(25.0), 42, 7)
+            == sample_integral(GAUSS1, box(25.0), 42, 7))
 
 
 def test_sample_integral_monotone_in_box_noise_sharing():
     # nested boxes share the underlying noise field (common randomness)
     model = FieldModel(d=1, kind="bounded_nonlinear_ma", m=1.0,
                        nonlinearity="clipped", clip_level=10.0)
-    small = [sample_integral(SampleRequest(model, box(20.0), 5, i))
-             for i in range(50)]
-    large = [sample_integral(SampleRequest(model, box(20.5), 5, i))
-             for i in range(50)]
+    small = [sample_integral(model, box(20.0), 5, i) for i in range(50)]
+    large = [sample_integral(model, box(20.5), 5, i) for i in range(50)]
     diffs = np.array(large) - np.array(small)
     # the common part cancels: increments are much smaller than the values
     assert np.abs(diffs).max() < 0.5 * 3 * np.abs(large).max()
@@ -141,9 +141,51 @@ def test_gaussian_batch_matches_grid_simulation_law():
     assert batch.mean() == pytest.approx(0.0, abs=4 * math.sqrt(expect_var / 40000))
     assert batch.var() == pytest.approx(expect_var, rel=0.05)
     # the per-replica grid path has the same variance
-    grid = np.array([sample_integral(SampleRequest(GAUSS1, b, 11, i))
-                     for i in range(2000)])
+    grid = np.array([sample_integral(GAUSS1, b, 11, i) for i in range(2000)])
     assert grid.var() == pytest.approx(expect_var, rel=0.15)
+
+
+def _per_line_correlate(noise, taps):
+    # reference: one valid-mode np.convolve per grid line, axis by axis
+    arr = noise
+    for axis in range(noise.ndim):
+        arr = np.apply_along_axis(
+            lambda x: np.convolve(x, taps[::-1], mode="valid"), axis, arr)
+    return arr
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kernel", ["indicator", "triangle"])
+@pytest.mark.parametrize("n_taps", [4, 10, 25])
+def test_valid_correlate_matches_per_line_convolve(d, kernel, n_taps):
+    model = FieldModel(d=d, kind="gaussian_ma", m=0.25 * n_taps, kernel=kernel)
+    taps = _taps(model)
+    assert len(taps) == n_taps
+    shape = {1: (200,), 2: (40, 33), 3: (30, 28, 27)}[d]
+    noise = np.random.default_rng(n_taps * 10 + d).standard_normal(shape)
+    got = _valid_correlate(noise, taps)
+    want = _per_line_correlate(noise, taps)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    if n_taps <= 10:
+        # same products summed in the same order as np.convolve
+        np.testing.assert_array_equal(got, want)
+    else:
+        # np.convolve may regroup long sums: only ulps may differ
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d, sides", [(2, (8.0, 6.0)), (3, (4.0, 4.0, 3.0))])
+def test_grid_gaussian_field_variance(d, sides):
+    # the grid path of an unclipped field is exactly Gaussian with the
+    # discrete closed-form variance; n replicas of known mean 0 give
+    # sum(x^2) / var ~ chi-square with n degrees of freedom
+    model = FieldModel(d=d, kind="bounded_nonlinear_ma", m=1.0)
+    b = box(*sides)
+    n = 1500
+    x = sample_integrals(model, b, 23, n)
+    var = discrete_box_variance(dataclasses.replace(model, kind="gaussian_ma"), b)
+    stat = float((x * x).sum()) / var
+    assert chi2.ppf(0.0005, n) < stat < chi2.ppf(0.9995, n)
 
 
 def test_sample_integrals_chunking_invariant():
@@ -170,13 +212,13 @@ def test_iid_block_variance():
 
 def test_iid_block_partial_overlap():
     model = FieldModel(d=1, kind="iid_block", m=1.0)
-    v1 = sample_integral(SampleRequest(model, box(1.5), 21, 0))
+    v1 = sample_integral(model, box(1.5), 21, 0)
     a = white_noise(21, 0, (0,), (2,), tag=13)
     assert v1 == pytest.approx(a[0] + 0.5 * a[1], rel=1e-12)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(FieldModelError):
-        SampleRequest(GAUSS1, box(2.0, 2.0), 0, 0)
+        sample_integral(GAUSS1, box(2.0, 2.0), 0, 0)
     with pytest.raises(FieldModelError):
         sample_integrals(GAUSS1, box(2.0, 2.0), 0, 10)
