@@ -46,17 +46,6 @@ def log_pow(x: float, k: int) -> float:
     return lx ** k
 
 
-@dataclass(frozen=True)
-class ScaleFunctions:
-    d: int
-
-    def R(self, v: float) -> float:
-        return iso_length(v, self.d)
-
-    def S(self, v: float) -> float:
-        return face_scale(v, self.d)
-
-
 @dataclass
 class CgfEstimate:
     box: Box

@@ -46,15 +46,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_json(args.config)
+        if args.seed is not None:
+            cfg = ExperimentConfig.from_dict(dict(cfg.raw, seed=args.seed))
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        if args.seed < 0 or args.seed >= 2 ** 64:
-            print("error: seed must fit in u64", file=sys.stderr)
-            return 2
-        raw = dict(cfg.raw, seed=args.seed)
-        cfg = ExperimentConfig.from_dict(raw)
     if args.workers < 1:
         print("error: workers must be >= 1", file=sys.stderr)
         return 2

@@ -38,6 +38,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1000:
             raise ConfigError("n_samples must be >= 1e3")
+        if self.n_replicas < 2:
+            raise ConfigError("n_replicas must be >= 2")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must fit in u64")
         if not self.boxes:
             raise ConfigError("need at least one box")
         for b in self.boxes:
@@ -56,10 +60,14 @@ class ExperimentConfig:
             engine_kwargs = dict(data.get("engine", {}))
             engine_kwargs.setdefault("d", model.d)
             engine = EngineParams(**engine_kwargs)
+            boxes = data["boxes"]
+            if not (isinstance(boxes, list)
+                    and all(isinstance(sides, list) for sides in boxes)):
+                raise ConfigError("boxes must be a list of side lists, "
+                                  "e.g. [[8.0], [16.0]]")
             return cls(
                 model=model,
-                boxes=[Box(tuple(float(s) for s in sides))
-                       for sides in data["boxes"]],
+                boxes=[Box(tuple(float(s) for s in sides)) for sides in boxes],
                 mu_grid=[float(x) for x in data.get("mu_grid", [0.5, 1.0, 2.0])],
                 c_grid=[float(x) for x in data.get("c_grid", [1.5, 2.0, 2.5])],
                 n_samples=int(data.get("n_samples", 100_000)),
@@ -80,6 +88,8 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from exc
+        except TypeError as exc:  # unknown keys, or values of the wrong shape
+            raise ConfigError(f"malformed config: {exc}") from exc
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

@@ -452,6 +452,11 @@ def calibrate_c1(oracle_for, box_family: list[Box], params_base: EngineParams,
     if candidates is None:
         candidates = [3.0 * 1.5 ** k for k in range(10)]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
+    # an estimated oracle samples on every call, so fetch each box's pair
+    # once; a box narrower than every candidate is never tested
+    narrowest = min(candidates, default=math.inf)
+    oracles = [(bx, oracle_for(bx), oracle_for(halve(bx)))
+               for bx in box_family if width(bx) >= narrowest]
     worst: dict | None = None
     for cand in candidates:
         params = EngineParams(c1=cand, d=params_base.d, eps=params_base.eps,
@@ -459,11 +464,9 @@ def calibrate_c1(oracle_for, box_family: list[Box], params_base: EngineParams,
                               c3=params_base.c3, c2_prop=params_base.c2_prop)
         report: list[dict] = []
         ok = True
-        for bx in box_family:
+        for bx, f_b, f_h in oracles:
             if width(bx) < cand:
                 continue
-            f_b = oracle_for(bx)
-            f_h = oracle_for(halve(bx))
             for direction in ("up", "down"):
                 for p in p_grid:
                     cap = admissible_lambda_cap(bx, params, p, direction)

@@ -21,7 +21,8 @@ from .cgf import (Z95, QuadEnvelope, delta_cap, estimate_cgf, exact_cgf,
 from .config import ExperimentConfig
 from .engine import (CertificateError, calibrate_c1, iterate_quadratic_lower,
                      iterate_quadratic_upper, ladder_descent)
-from .fields import exact_box_variance, exact_sigma2, sample_integrals
+from .fields import (discrete_box_std, exact_box_variance, exact_sigma2,
+                     sample_integrals, standard_batches)
 from .report import ExperimentReport
 
 
@@ -138,8 +139,6 @@ def _mdp_importance_row(model, b: Box, samples: np.ndarray, threshold: float,
     event has probability ~1/2 under the proposal; weights are handled in
     log space throughout.
     """
-    from .fields import discrete_box_std
-
     n = len(samples)
     sd = discrete_box_std(model, b)
     y = samples + threshold
@@ -159,8 +158,36 @@ def _mdp_importance_row(model, b: Box, samples: np.ndarray, threshold: float,
                 method="importance", hits=hits, flagged=False)
 
 
+def _shared_batch_hits(model, boxes: list[Box], thresholds: list[list[float]],
+                       seed: int, n: int) -> list[list[int]]:
+    """hits[i][j] = #{k < n : sd_i * z_k >= thresholds[i][j]}.
+
+    z is ``standard_batches(seed, n)``, the draws every Gaussian box
+    shares, so one pass over its chunks counts every (box, threshold)
+    pair with the same products and comparisons as counting each box's
+    ``sample_integrals`` output, and no box's n samples are ever held.
+    """
+    sds = [discrete_box_std(model, b) for b in boxes]
+    hits = [[0] * len(row) for row in thresholds]
+    for z in standard_batches(seed, n):
+        for sd, levels, counts in zip(sds, thresholds, hits):
+            s = sd * z
+            for j, threshold in enumerate(levels):
+                counts[j] += int(np.count_nonzero(s >= threshold))
+    return hits
+
+
 def run_mdp(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Normalized log tail probabilities against the normal oracle."""
+    """Normalized log tail probabilities against the normal oracle.
+
+    Gaussian boxes share one standard batch (see ``sample_integrals``), so
+    their rows are one experiment scaled, not independent ones.  Direct
+    Gaussian rows count every (box, c) exceedance in a single streamed
+    pass over that batch; the pass is numpy-bound and single-threaded, so
+    ``workers`` does not act on it.  Importance-sampling and non-Gaussian
+    rows sample each box with ``sample_integrals``, ``workers`` boxes at a
+    time.
+    """
     started = time.time()
     rep = ExperimentReport(
         name="mdp",
@@ -170,10 +197,9 @@ def run_mdp(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     model = cfg.model
     gaussian = _is_gaussian(cfg)
 
-    def one_box(b: Box) -> list[dict]:
-        rows = []
+    def levels(b: Box, samples: np.ndarray | None = None) -> list[tuple]:
+        """(c, threshold, reference) for every c of the grid."""
         v = vol(b)
-        samples = sample_integrals(model, b, cfg.seed, cfg.n_samples)
         if gaussian:
             sigma = math.sqrt(exact_sigma2(model))
             sigma_r = math.sqrt(exact_box_variance(model, b) / v)
@@ -181,33 +207,46 @@ def run_mdp(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
             var_hat, _ = _variance_ci(samples / math.sqrt(v))
             sigma = math.sqrt(var_hat)
             sigma_r = sigma
-        for c in cfg.c_grid:
-            threshold = c * sigma * math.sqrt(v)
-            ref = float(norm.logsf(c * sigma / sigma_r)) / (c * c)
-            if cfg.mdp_importance_sampling and gaussian:
-                rows.append(_mdp_importance_row(model, b, samples, threshold,
-                                                c, ref, cfg.mdp_tolerance))
-                continue
-            hits = int((samples >= threshold).sum())
-            if hits == 0:
-                p_up = _clopper_pearson_upper(cfg.n_samples)
-                rows.append(dict(d=model.d, sides=b.sides, vol=v, c=c,
-                                 value=math.log(p_up) / (c * c), ci=float("nan"),
-                                 reference=ref, **{"pass": False},
-                                 method="clopper_pearson_upper", hits=0,
-                                 flagged=True))
-                continue
-            p_hat = hits / cfg.n_samples
-            value = math.log(p_hat) / (c * c)
-            ci = Z95 * math.sqrt((1.0 - p_hat) / (cfg.n_samples * p_hat)) / (c * c)
-            ok = abs(value - ref) <= cfg.mdp_tolerance + ci
-            rows.append(dict(d=model.d, sides=b.sides, vol=v, c=c,
-                             value=value, ci=ci, reference=ref,
-                             **{"pass": bool(ok)}, method="direct", hits=hits,
-                             flagged=False))
-        return rows
+        return [(c, c * sigma * math.sqrt(v),
+                 float(norm.logsf(c * sigma / sigma_r)) / (c * c))
+                for c in cfg.c_grid]
 
-    for rows in _map_ordered(one_box, cfg.boxes, workers):
+    def direct_row(b: Box, c: float, ref: float, hits: int) -> dict:
+        v = vol(b)
+        if hits == 0:
+            p_up = _clopper_pearson_upper(cfg.n_samples)
+            return dict(d=model.d, sides=b.sides, vol=v, c=c,
+                        value=math.log(p_up) / (c * c), ci=float("nan"),
+                        reference=ref, **{"pass": False},
+                        method="clopper_pearson_upper", hits=0, flagged=True)
+        p_hat = hits / cfg.n_samples
+        value = math.log(p_hat) / (c * c)
+        ci = Z95 * math.sqrt((1.0 - p_hat) / (cfg.n_samples * p_hat)) / (c * c)
+        ok = abs(value - ref) <= cfg.mdp_tolerance + ci
+        return dict(d=model.d, sides=b.sides, vol=v, c=c, value=value, ci=ci,
+                    reference=ref, **{"pass": bool(ok)}, method="direct",
+                    hits=hits, flagged=False)
+
+    def one_box(b: Box) -> list[dict]:
+        samples = sample_integrals(model, b, cfg.seed, cfg.n_samples)
+        if gaussian:  # reached with importance sampling on
+            return [_mdp_importance_row(model, b, samples, threshold, c, ref,
+                                        cfg.mdp_tolerance)
+                    for c, threshold, ref in levels(b)]
+        return [direct_row(b, c, ref, int((samples >= threshold).sum()))
+                for c, threshold, ref in levels(b, samples)]
+
+    if gaussian and not cfg.mdp_importance_sampling:
+        box_levels = [levels(b) for b in cfg.boxes]
+        hits = _shared_batch_hits(model, cfg.boxes,
+                                  [[t for _, t, _ in lv] for lv in box_levels],
+                                  cfg.seed, cfg.n_samples)
+        box_rows = [[direct_row(b, c, ref, h)
+                     for (c, _, ref), h in zip(lv, box_hits)]
+                    for b, lv, box_hits in zip(cfg.boxes, box_levels, hits)]
+    else:
+        box_rows = _map_ordered(one_box, cfg.boxes, workers)
+    for rows in box_rows:
         for row in rows:
             rep.add_row(**row)
     rep.stamp(cfg.config_hash, started)

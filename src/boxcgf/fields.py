@@ -15,6 +15,7 @@ change any value.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 
@@ -207,14 +208,28 @@ def discrete_box_std(model: FieldModel, b: Box) -> float:
 _BATCH_CHUNK = 1 << 16
 
 
+def standard_batches(seed: int, n: int) -> Iterator[np.ndarray]:
+    """The first n standard normals of the batch stream, chunk by chunk.
+
+    Chunk i holds draws i * 2^16 ... of one counter-based stream keyed by
+    (seed, i) alone; every chunk is drawn whole, and the last one is cut
+    to length, so the values never depend on n or on the box.
+    """
+    for chunk_idx, pos in enumerate(range(0, n, _BATCH_CHUNK)):
+        z = _tile_noise(seed, chunk_idx, _BATCH_TAG, (0,), (_BATCH_CHUNK,))
+        yield z[:min(_BATCH_CHUNK, n - pos)]
+
+
 def sample_integrals(model: FieldModel, b: Box, seed: int, n_samples: int) -> np.ndarray:
     """Vectorized i.i.d. replicas of the box integral.
 
     For Gaussian moving averages the discretized integral is exactly
-    normal with the closed-form variance, so replicas are drawn from that
-    law directly (one counter-based normal per replica).  Other kinds run
-    the full grid simulation per replica.  Chunking is fixed, so results
-    do not depend on worker count.
+    normal with the closed-form variance, so replicas are the box's
+    standard deviation times ``standard_batches(seed, n_samples)``.  That
+    batch does not depend on the box: at one seed, every box gets the same
+    standard normals (shared draws), so replicas across boxes are one
+    experiment scaled.  Other kinds run the full grid simulation per
+    replica.  Chunking is fixed, so results do not depend on worker count.
     """
     if b.d != model.d:
         raise FieldModelError("box dimension does not match model dimension")
@@ -222,13 +237,9 @@ def sample_integrals(model: FieldModel, b: Box, seed: int, n_samples: int) -> np
         sd = discrete_box_std(model, b)
         out = np.empty(n_samples)
         pos = 0
-        chunk_idx = 0
-        while pos < n_samples:
-            take = min(_BATCH_CHUNK, n_samples - pos)
-            z = _tile_noise(seed, chunk_idx, _BATCH_TAG, (0,), (_BATCH_CHUNK,))
-            out[pos:pos + take] = sd * z[:take]
-            pos += take
-            chunk_idx += 1
+        for z in standard_batches(seed, n_samples):
+            out[pos:pos + len(z)] = sd * z
+            pos += len(z)
         return out
     return np.array([sample_integral(model, b, seed, i) for i in range(n_samples)])
 
@@ -277,9 +288,3 @@ def exact_sigma2(model: FieldModel) -> float:
         raise NoClosedFormError("no closed form for non-Gaussian model")
     mass = model.amplitude * (model.m if model.kernel == "indicator" else model.m / 2.0)
     return mass ** (2 * model.d)
-
-
-def exact_gaussian_cgf(model: FieldModel, b: Box, lam: float) -> float:
-    """Closed-form normalized CGF of the box integral, Gaussian case."""
-    v = math.prod(b.sides)
-    return 0.5 * lam * lam * exact_box_variance(model, b) / v

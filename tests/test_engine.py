@@ -250,3 +250,24 @@ def test_calibrate_fails_on_adversarial_oracle():
     with pytest.raises(CertificateError, match="no candidate"):
         calibrate_c1(oracle_for, [box(2.0 ** 20)], P1, seed=3,
                      candidates=[3.0, 4.5])
+
+
+def test_calibrate_fetches_each_oracle_once():
+    # halvings flatter than their boxes make C1 = 3, 4.5 and 6.75 fail, so
+    # four candidates are tried; each oracle is still fetched only once
+    family = [box(40.0), box(60.0)]
+    calls = []
+
+    def oracle_for(bx):
+        calls.append(bx.sides)
+        est = exact_cgf(GAUSS1, bx, lambda_grid(4.0))
+        est.quad_coeff = 1.0 if bx in family else 0.4
+        return est
+
+    c1, checks = calibrate_c1(oracle_for, family, P1, seed=3)
+    assert sorted(calls) == [(20.0,), (30.0,), (40.0,), (60.0,)]
+    # the report as it was when every candidate fetched its own oracles
+    assert c1 == 10.125
+    assert len(checks) == 128
+    assert sum(r["slack"] for r in checks) == pytest.approx(30.147418017067956,
+                                                           rel=1e-12)

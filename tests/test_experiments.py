@@ -2,14 +2,19 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from boxcgf import experiments
+from boxcgf.boxes import vol
+from boxcgf.cgf import Z95
 from boxcgf.cli import main
 from boxcgf.config import ConfigError, ExperimentConfig
 from boxcgf.experiments import (run_additivity, run_calibrate,
                                 run_certificate_audit, run_clt, run_lrp,
                                 run_mdp)
+from boxcgf.fields import (discrete_box_std, exact_sigma2,
+                           sample_integrals)
 from boxcgf.report import ExperimentReport
 
 
@@ -107,6 +112,66 @@ def test_mdp_importance_sampling_matches_reference():
     for row in rep.rows:
         assert row["method"] == "importance"
         assert abs(row["value"] - row["reference"]) <= 0.1 + row["ci"]
+
+
+def mdp_rows_per_box(cfg):
+    """(hits, value, ci, method) of direct mdp rows, box by box from each
+    box's own sample_integrals output."""
+    sigma = math.sqrt(exact_sigma2(cfg.model))
+    n = cfg.n_samples
+    rows = []
+    for b in cfg.boxes:
+        samples = sample_integrals(cfg.model, b, cfg.seed, n)
+        for c in cfg.c_grid:
+            hits = int((samples >= c * sigma * math.sqrt(vol(b))).sum())
+            if hits == 0:
+                p_up = 1.0 - 0.05 ** (1.0 / n)
+                rows.append((0, math.log(p_up) / (c * c), float("nan"),
+                             "clopper_pearson_upper"))
+                continue
+            p_hat = hits / n
+            ci = Z95 * math.sqrt((1.0 - p_hat) / (n * p_hat)) / (c * c)
+            rows.append((hits, math.log(p_hat) / (c * c), ci, "direct"))
+    return rows
+
+
+@pytest.mark.parametrize("n_samples", [1000, 1 << 16, 100_000])
+def test_mdp_shared_batch_pass_matches_per_box_counts(n_samples, monkeypatch):
+    # a duplicated box, and c = 6 for a zero-hit clopper_pearson_upper row
+    cfg = small_config(boxes=[[200.0], [1000.0], [200.0]],
+                       c_grid=[1.0, 2.0, 6.0], n_samples=n_samples)
+    expect = mdp_rows_per_box(cfg)
+
+    def per_box_sampling(*args):
+        raise AssertionError("direct Gaussian rows sampled a box")
+
+    monkeypatch.setattr(experiments, "sample_integrals", per_box_sampling)
+    rep = run_mdp(cfg, workers=2)
+    got = [(r["hits"], r["value"], r["ci"], r["method"]) for r in rep.rows]
+    assert repr(got) == repr(expect)
+    assert got[2][0] == 0 and got[0][0] > 0
+
+
+def test_mdp_importance_rows_match_per_box_reference():
+    cfg = small_config(boxes=[[200.0], [1000.0]], c_grid=[2.0, 3.0],
+                       n_samples=20_000, mdp_importance_sampling=True)
+    sigma = math.sqrt(exact_sigma2(cfg.model))
+    expect = []
+    for b in cfg.boxes:
+        sd = discrete_box_std(cfg.model, b)
+        y = sample_integrals(cfg.model, b, cfg.seed, cfg.n_samples)
+        for c in cfg.c_grid:
+            t = c * sigma * math.sqrt(vol(b))
+            tilted = y + t
+            hit = tilted >= t
+            w = np.exp(-t * tilted[hit] / sd ** 2 + t * t / (2.0 * sd ** 2))
+            expect.append((int(hit.sum()),
+                           math.log(float(w.sum()) / len(y)) / (c * c)))
+    rep = run_mdp(cfg)
+    assert all(r["method"] == "importance" for r in rep.rows)
+    assert [r["hits"] for r in rep.rows] == [h for h, _ in expect]
+    assert [r["value"] for r in rep.rows] == pytest.approx(
+        [v for _, v in expect], rel=1e-12)
 
 
 def test_clt_gaussian_exact_reference():
@@ -248,6 +313,31 @@ def test_cli_bad_config_is_exit_2(tmp_path):
     assert main(["lrp", "--config", str(path)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["lrp", "--config", str(missing)]) == 2
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"model": {"d": 1, "kind": "gaussian_ma", "m": 1.0, "colour": "red"}},
+     "unexpected keyword argument 'colour'"),
+    ({"engine": {"c1": 4.0, "w_min": 4.0, "tolerance": 1.0}},
+     "unexpected keyword argument 'tolerance'"),
+    ({"boxes": [200.0, 1000.0]}, "boxes must be a list of side lists"),
+    ({"c_grid": 2.0}, "malformed config"),
+    ({"seed": -5}, "seed must fit in u64"),
+    ({"seed": 2 ** 64}, "seed must fit in u64"),
+    ({"n_replicas": 1}, "n_replicas must be >= 2"),
+])
+def test_cli_malformed_config_is_exit_2(tmp_path, capsys, change, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(small_config().raw, **change)))
+    assert main(["mdp", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_cli_seed_override_out_of_range_is_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["lrp", "--config", str(path), "--seed", "-5"]) == 2
+    assert capsys.readouterr().err == "error: seed must fit in u64\n"
 
 
 def test_cli_failing_rows_exit_1(tmp_path, monkeypatch):

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from boxcgf.boxes import box
+from boxcgf.cgf import exact_cgf
 from boxcgf.fields import (FieldModel, FieldModelError, NoClosedFormError,
-                           _taps, _valid_correlate, discrete_box_variance,
-                           exact_box_variance, exact_gaussian_cgf,
+                           _taps, _valid_correlate, discrete_box_std,
+                           discrete_box_variance, exact_box_variance,
                            exact_sigma2, kernel_weight, sample_integral,
-                           sample_integrals, white_noise)
+                           sample_integrals, standard_batches, white_noise)
 
 GAUSS1 = FieldModel(d=1, kind="gaussian_ma", m=1.0)
 
@@ -93,7 +94,7 @@ def test_no_closed_form_for_nonlinear():
 def test_exact_gaussian_cgf_quadratic():
     lam = 0.7
     expect = 0.5 * lam * lam * (10.0 - 1.0 / 3.0) / 10.0
-    assert exact_gaussian_cgf(GAUSS1, box(10.0), lam) == pytest.approx(
+    assert exact_cgf(GAUSS1, box(10.0), [lam]).f[0] == pytest.approx(
         expect, rel=1e-12)
 
 
@@ -193,6 +194,17 @@ def test_sample_integrals_chunking_invariant():
     full = sample_integrals(GAUSS1, b, 3, 70000)
     head = sample_integrals(GAUSS1, b, 3, 100)
     np.testing.assert_array_equal(full[:100], head)
+
+
+@pytest.mark.parametrize("n", [1000, 1 << 16, 100_000])
+def test_gaussian_sample_integrals_scale_the_standard_batch(n):
+    b = box(10.0)
+    chunks = list(standard_batches(3, n))
+    assert [len(z) for z in chunks] == [1 << 16] * (n // (1 << 16)) + (
+        [n % (1 << 16)] if n % (1 << 16) else [])
+    np.testing.assert_array_equal(
+        sample_integrals(GAUSS1, b, 3, n),
+        discrete_box_std(GAUSS1, b) * np.concatenate(chunks))
 
 
 def test_clipped_field_centered_and_bounded():
