@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 
 class BoxError(ValueError):
@@ -47,24 +46,6 @@ class Multiindex:
     @property
     def order(self) -> int:
         return sum(self.entries)
-
-
-class BoxMeasures(NamedTuple):
-    vol: float
-    width: float
-    length: float
-    arglength: int  # 1-based index of the first longest side
-
-
-def measures(b: Box) -> BoxMeasures:
-    sides = b.sides
-    length = max(sides)
-    return BoxMeasures(
-        vol=math.prod(sides),
-        width=min(sides),
-        length=length,
-        arglength=sides.index(length) + 1,
-    )
 
 
 def vol(b: Box) -> float:

@@ -9,9 +9,8 @@ effective-sample-size reliability guard.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +53,6 @@ class CgfEstimate:
     ci: np.ndarray  # 95% half-widths
     reliable: np.ndarray
     n_samples: int
-    exact: bool = False
     quad_coeff: float | None = None  # set when f is exactly coeff * lam**2
 
     def value_at(self, lam: float) -> tuple[float, float, bool]:
@@ -77,27 +75,6 @@ class CgfEstimate:
         cval = float(np.interp(lam, grid, self.ci))
         return fval, cval, True
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {"lambda": float(l), "f": float(fv), "ci": float(c), "reliable": bool(r)}
-            for l, fv, c, r in zip(self.lambdas, self.f, self.ci, self.reliable)
-        ]
-
-    def to_csv(self) -> str:
-        lines = ["lambda,f,ci,reliable"]
-        for row in self.to_rows():
-            lines.append(f"{row['lambda']!r},{row['f']!r},{row['ci']!r},"
-                         f"{int(row['reliable'])}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "sides": list(self.box.sides),
-            "n_samples": self.n_samples,
-            "exact": self.exact,
-            "rows": self.to_rows(),
-        }, indent=2)
-
 
 @dataclass(frozen=True)
 class QuadEnvelope:
@@ -111,6 +88,17 @@ class QuadEnvelope:
             raise CgfError(f"envelope needs 0 <= L <= U, got L={self.L}, U={self.U}")
         if self.delta <= 0.0:
             raise CgfError("admissible radius must be positive")
+
+
+def log_mean_exp(a: np.ndarray) -> tuple[float, float, float]:
+    """(log mean exp(a), 95% ci half-width by the delta method, effective
+    sample size of the weights exp(a - max a))."""
+    amax = a.max()
+    w = np.exp(a - amax)
+    wbar = w.mean()
+    return (amax + math.log(wbar),
+            Z95 * w.std() / (wbar * math.sqrt(len(a))),
+            w.sum() ** 2 / (w * w).sum())
 
 
 def estimate_cgf(model: FieldModel, b: Box, lambdas, n_samples: int,
@@ -129,13 +117,7 @@ def estimate_cgf(model: FieldModel, b: Box, lambdas, n_samples: int,
         if l == 0.0:
             f[i], ci[i] = 0.0, 0.0
             continue
-        a = l * y
-        amax = a.max()
-        w = np.exp(a - amax)
-        wbar = w.mean()
-        f[i] = amax + math.log(wbar)
-        ci[i] = Z95 * w.std() / (wbar * math.sqrt(n_samples))
-        ess = w.sum() ** 2 / (w * w).sum()
+        f[i], ci[i], ess = log_mean_exp(l * y)
         reliable[i] = ess >= MIN_EFFECTIVE_SAMPLES
     # Jensen on the empirical measure: log mean exp(lam*y) >= lam * mean(y),
     # up to the rounding of terms as large as |lam| * max|y|
@@ -156,7 +138,7 @@ def exact_cgf(model: FieldModel, b: Box, lambdas) -> CgfEstimate:
     f = coeff * lam * lam
     zeros = np.zeros(lam.shape)
     return CgfEstimate(b, lam, f, zeros, np.ones(lam.shape, dtype=bool),
-                       n_samples=0, exact=True, quad_coeff=coeff)
+                       n_samples=0, quad_coeff=coeff)
 
 
 def delta_cap(v: float, C: float, d: int) -> float:

@@ -16,6 +16,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _integer(data: dict, key: str, default: int | None = None) -> int:
+    """data[key] as an int; a bool or a non-integral number is an error."""
+    value = data[key] if default is None else data.get(key, default)
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     model: FieldModel
@@ -60,6 +70,10 @@ class ExperimentConfig:
             engine_kwargs = dict(data.get("engine", {}))
             engine_kwargs.setdefault("d", model.d)
             engine = EngineParams(**engine_kwargs)
+            importance = data.get("mdp_importance_sampling", False)
+            if not isinstance(importance, bool):
+                raise ConfigError("mdp_importance_sampling must be true or "
+                                  f"false, got {importance!r}")
             boxes = data["boxes"]
             if not (isinstance(boxes, list)
                     and all(isinstance(sides, list) for sides in boxes)):
@@ -70,14 +84,14 @@ class ExperimentConfig:
                 boxes=[Box(tuple(float(s) for s in sides)) for sides in boxes],
                 mu_grid=[float(x) for x in data.get("mu_grid", [0.5, 1.0, 2.0])],
                 c_grid=[float(x) for x in data.get("c_grid", [1.5, 2.0, 2.5])],
-                n_samples=int(data.get("n_samples", 100_000)),
-                n_replicas=int(data.get("n_replicas", 10_000)),
-                seed=int(data["seed"]),
+                n_samples=_integer(data, "n_samples", 100_000),
+                n_replicas=_integer(data, "n_replicas", 10_000),
+                seed=_integer(data, "seed"),
                 engine=engine,
                 lrp_lambda_bound=float(data.get("lrp_lambda_bound", 0.5)),
                 lrp_tolerance=float(data.get("lrp_tolerance", 0.10)),
                 mdp_tolerance=float(data.get("mdp_tolerance", 0.10)),
-                mdp_importance_sampling=bool(data.get("mdp_importance_sampling", False)),
+                mdp_importance_sampling=importance,
                 additivity_pairs=[tuple(map(float, p))
                                   for p in data.get("additivity_pairs", [])],
                 additivity_rest=tuple(float(s)

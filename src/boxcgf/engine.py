@@ -13,9 +13,8 @@ engine never claims a certificate silently.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,10 +82,6 @@ class Schedule:
     def all_ok(self) -> bool:
         return all(c.ok for c in self.side_conditions)
 
-    def to_json(self) -> str:
-        payload = asdict(self)
-        return json.dumps(payload, indent=2)
-
 
 @dataclass
 class LadderCertificate:
@@ -102,9 +97,6 @@ class LadderCertificate:
     @property
     def all_ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 def _log_sd(v: float, d: int) -> float:
@@ -227,38 +219,35 @@ def slope_step(lam: float, mu: float, b: Box, params: EngineParams,
             "case_a_holds": case_a_holds, "case_b_holds": case_b_holds}
 
 
-def _check_ladder_width(b: Box, n: int, params: EngineParams) -> None:
+def _climb(a: float, delta: float, b: Box, n: int, params: EngineParams,
+           step) -> tuple[float, float]:
+    """Apply ``step`` from B/2^n up to B: (coefficient, radius) at B."""
+    if a <= 0.0 or delta <= 0.0:
+        raise CertificateError("need a > 0 and delta > 0")
     if n >= 1 and width(halve_n(b, n - 1)) < params.c1:
         raise CertificateError(f"width below C1 after {n - 1} halvings")
+    u, dl = math.sqrt(a), delta
+    for k in range(n - 1, -1, -1):
+        try:
+            res = step(u, dl, halve_n(b, k), params)
+        except CertificateError as exc:
+            raise CertificateError(f"{exc} at level {k + 1}") from exc
+        u, dl = res.u_out, res.delta_out
+    return u * u, dl
 
 
 def iterate_quadratic_upper(a: float, delta: float, b: Box, n: int,
                             params: EngineParams) -> QuadEnvelope:
     """Climb n levels: envelope a*lam^2 at B/2^n becomes U*lam^2 at B."""
-    if a <= 0.0 or delta <= 0.0:
-        raise CertificateError("need a > 0 and delta > 0")
-    _check_ladder_width(b, n, params)
-    u, dl = math.sqrt(a), delta
-    for k in range(n - 1, -1, -1):
-        res = step_up(u, dl, halve_n(b, k), params)
-        u, dl = res.u_out, res.delta_out
-    return QuadEnvelope(b, L=0.0, U=u * u, delta=dl)
+    upper, dl = _climb(a, delta, b, n, params, step_up)
+    return QuadEnvelope(b, L=0.0, U=upper, delta=dl)
 
 
 def iterate_quadratic_lower(a: float, delta: float, b: Box, n: int,
                             params: EngineParams) -> QuadEnvelope:
     """Climb n levels for the lower coefficient; may report annihilation."""
-    if a <= 0.0 or delta <= 0.0:
-        raise CertificateError("need a > 0 and delta > 0")
-    _check_ladder_width(b, n, params)
-    u, dl = math.sqrt(a), delta
-    for k in range(n - 1, -1, -1):
-        try:
-            res = step_down(u, dl, halve_n(b, k), params)
-        except CertificateError as exc:
-            raise CertificateError(f"{exc} at level {k + 1}") from exc
-        u, dl = res.u_out, res.delta_out
-    return QuadEnvelope(b, L=u * u, U=math.inf, delta=dl)
+    lower, dl = _climb(a, delta, b, n, params, step_down)
+    return QuadEnvelope(b, L=lower, U=math.inf, delta=dl)
 
 
 def _geom_tail(d: int) -> float:

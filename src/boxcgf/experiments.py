@@ -1,9 +1,14 @@
 """Desk-scale verification experiments.
 
-Each run_* function turns one asymptotic statement into finite-size rows:
-an estimate with a confidence interval, an oracle reference, and a pass
-flag recomputable from the row itself.  Replica streams are counter-based
-and chunked at fixed size, so the worker count never changes any output.
+Each subcommand turns one asymptotic statement into finite-size rows: an
+estimate with a confidence interval, an oracle reference, and a pass flag
+recomputable from the row itself.  One runner times every subcommand,
+builds its report, maps its row function over its units of work and adds
+the rows in unit order.  The units are the config's boxes, except for
+additivity (its pairs), audit (boxes with their base envelopes), mdp
+(boxes with their shared-batch hits) and calibrate (one unit: the box
+family).  Replica streams are counter-based and chunked at fixed size, so
+the worker count never changes any output.
 """
 
 from __future__ import annotations
@@ -11,13 +16,14 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 from scipy.stats import kstest, norm
 
 from .boxes import Box, halve_n, normalize_to_scale, vol, width
-from .cgf import (Z95, QuadEnvelope, delta_cap, estimate_cgf, exact_cgf,
-                  lambda_grid, quad_envelope)
+from .cgf import (Z95, CgfError, QuadEnvelope, delta_cap, estimate_cgf,
+                  exact_cgf, lambda_grid, log_mean_exp, quad_envelope)
 from .config import ExperimentConfig
 from .engine import (CertificateError, calibrate_c1, iterate_quadratic_lower,
                      iterate_quadratic_upper, ladder_descent)
@@ -34,18 +40,33 @@ def _map_ordered(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
+def _runner(name: str, columns: list[str], rows,
+            units=lambda cfg, workers: cfg.boxes):
+    """The subcommand ``name`` as ``run(cfg, workers=1) -> ExperimentReport``.
+
+    ``units(cfg, workers)`` lists the units of work and ``rows(cfg, unit)``
+    turns one unit into rows, ``workers`` units at a time; the rows are
+    added in unit order.  A row's ``error`` entry is run metadata, not a
+    column: it moves to ``metadata["error"]``.
+    """
+    def run(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+        started = time.time()
+        rep = ExperimentReport(name=name, columns=columns)
+        for unit_rows in _map_ordered(partial(rows, cfg), units(cfg, workers),
+                                      workers):
+            for row in unit_rows:
+                if "error" in row:
+                    rep.metadata["error"] = row.pop("error")
+                rep.add_row(**row)
+        rep.stamp(cfg.config_hash, started)
+        return rep
+
+    return run
+
+
 def _is_gaussian(cfg: ExperimentConfig) -> bool:
     return (cfg.model.kind == "gaussian_ma"
             and cfg.model.nonlinearity == "identity")
-
-
-def _log_mean_exp(a: np.ndarray) -> tuple[float, float]:
-    """(log mean exp(a), 95% ci half-width by the delta method)."""
-    amax = a.max()
-    w = np.exp(a - amax)
-    wbar = w.mean()
-    return (amax + math.log(wbar),
-            Z95 * w.std() / (wbar * math.sqrt(len(a))))
 
 
 def _variance_ci(y: np.ndarray) -> tuple[float, float]:
@@ -62,68 +83,49 @@ def _variance_ci(y: np.ndarray) -> tuple[float, float]:
     return v, Z95 * se
 
 
-def run_lrp(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def _lrp_rows(cfg: ExperimentConfig, b: Box) -> list[dict]:
     """Quadratic log-asymptotics: f_B(mu)/mu^2 against sigma^2/2."""
-    started = time.time()
-    rep = ExperimentReport(
-        name="lrp",
-        columns=["d", "sides", "vol", "lambda", "value", "ci", "reference",
-                 "pass", "provenance", "flagged"],
-    )
     model = cfg.model
     gaussian = _is_gaussian(cfg)
     d = model.d
+    v = vol(b)
+    samples = sample_integrals(model, b, cfg.seed, cfg.n_samples)
+    y = samples / math.sqrt(v)
+    if gaussian:
+        ref = 0.5 * exact_sigma2(model)
+        ref_ci = 0.0
+    else:
+        var_hat, var_ci = _variance_ci(y)
+        ref, ref_ci = 0.5 * var_hat, 0.5 * var_ci
 
-    def one_box(b: Box) -> list[dict]:
-        rows = []
-        v = vol(b)
-        samples = sample_integrals(model, b, cfg.seed, cfg.n_samples)
-        y = samples / math.sqrt(v)
-        if gaussian:
-            ref = 0.5 * exact_sigma2(model)
-            ref_ci = 0.0
-        else:
-            var_hat, var_ci = _variance_ci(y)
-            ref, ref_ci = 0.5 * var_hat, 0.5 * var_ci
-        for mu in cfg.mu_grid:
-            if mu == 0.0:
-                continue
-            lam = mu / math.sqrt(v)
-            flagged = abs(lam) * math.log(v) ** d > cfg.lrp_lambda_bound
-            if flagged:
-                rows.append(dict(d=d, sides=b.sides, vol=v, **{"lambda": lam},
-                                 value=float("nan"), ci=float("nan"),
-                                 reference=ref, **{"pass": False}, flagged=True,
-                                 provenance="estimate"))
-                continue
-            f_hat, ci = _log_mean_exp(mu * y)
-            value = f_hat / (mu * mu)
-            ci_val = ci / (mu * mu)
-            ok = abs(value - ref) <= max(cfg.lrp_tolerance * max(ref, 1e-12),
-                                         3.0 * (ci_val + ref_ci))
-            rows.append(dict(d=d, sides=b.sides, vol=v, **{"lambda": lam},
-                             value=value, ci=ci_val, reference=ref,
-                             **{"pass": bool(ok)}, flagged=False,
-                             provenance="estimate"))
-        if gaussian:
-            coeff = 0.5 * exact_box_variance(model, b) / v
-            # finite-size defect shrinks like sum_k m/(3 r_k) relative to the limit
-            tol = ref * sum(model.m / (3.0 * r) for r in b.sides) + 1e-9
-            for mu in cfg.mu_grid:
-                if mu == 0.0:
-                    continue
-                lam = mu / math.sqrt(v)
-                rows.append(dict(d=d, sides=b.sides, vol=v, **{"lambda": lam},
-                                 value=coeff, ci=0.0, reference=ref,
-                                 **{"pass": bool(abs(coeff - ref) <= tol)},
-                                 flagged=False, provenance="exact"))
-        return rows
+    def row(lam, value, ci, ok, flagged, provenance) -> dict:
+        return dict(d=d, sides=b.sides, vol=v, **{"lambda": lam}, value=value,
+                    ci=ci, reference=ref, **{"pass": bool(ok)},
+                    flagged=flagged, provenance=provenance)
 
-    for rows in _map_ordered(one_box, cfg.boxes, workers):
-        for row in rows:
-            rep.add_row(**row)
-    rep.stamp(cfg.config_hash, started)
-    return rep
+    rows = []
+    for mu in cfg.mu_grid:
+        if mu == 0.0:
+            continue
+        lam = mu / math.sqrt(v)
+        if abs(lam) * math.log(v) ** d > cfg.lrp_lambda_bound:
+            rows.append(row(lam, float("nan"), float("nan"), False, True,
+                            "estimate"))
+            continue
+        f_hat, ci, _ = log_mean_exp(mu * y)
+        value = f_hat / (mu * mu)
+        ci_val = ci / (mu * mu)
+        ok = abs(value - ref) <= max(cfg.lrp_tolerance * max(ref, 1e-12),
+                                     3.0 * (ci_val + ref_ci))
+        rows.append(row(lam, value, ci_val, ok, False, "estimate"))
+    if gaussian:
+        coeff = 0.5 * exact_box_variance(model, b) / v
+        # finite-size defect shrinks like sum_k m/(3 r_k) relative to the limit
+        tol = ref * sum(model.m / (3.0 * r) for r in b.sides) + 1e-9
+        rows += [row(mu / math.sqrt(v), coeff, 0.0, abs(coeff - ref) <= tol,
+                     False, "exact")
+                 for mu in cfg.mu_grid if mu != 0.0]
+    return rows
 
 
 def _clopper_pearson_upper(n: int, alpha: float = 0.05) -> float:
@@ -177,129 +179,108 @@ def _shared_batch_hits(model, boxes: list[Box], thresholds: list[list[float]],
     return hits
 
 
-def run_mdp(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Normalized log tail probabilities against the normal oracle.
+def _mdp_levels(cfg: ExperimentConfig, b: Box,
+                samples: np.ndarray | None = None) -> list[tuple]:
+    """(c, threshold, reference) for every c of the grid."""
+    v = vol(b)
+    if _is_gaussian(cfg):
+        sigma = math.sqrt(exact_sigma2(cfg.model))
+        sigma_r = math.sqrt(exact_box_variance(cfg.model, b) / v)
+    else:
+        var_hat, _ = _variance_ci(samples / math.sqrt(v))
+        sigma = math.sqrt(var_hat)
+        sigma_r = sigma
+    return [(c, c * sigma * math.sqrt(v),
+             float(norm.logsf(c * sigma / sigma_r)) / (c * c))
+            for c in cfg.c_grid]
+
+
+def _mdp_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
+    """Boxes, each with its (c, reference, hits) triples when counted here.
 
     Gaussian boxes share one standard batch (see ``sample_integrals``), so
     their rows are one experiment scaled, not independent ones.  Direct
     Gaussian rows count every (box, c) exceedance in a single streamed
     pass over that batch; the pass is numpy-bound and single-threaded, so
     ``workers`` does not act on it.  Importance-sampling and non-Gaussian
-    rows sample each box with ``sample_integrals``, ``workers`` boxes at a
-    time.
+    boxes carry None: their rows sample the box with ``sample_integrals``,
+    ``workers`` boxes at a time.
     """
-    started = time.time()
-    rep = ExperimentReport(
-        name="mdp",
-        columns=["d", "sides", "vol", "c", "value", "ci", "reference",
-                 "pass", "method", "hits", "flagged"],
-    )
-    model = cfg.model
-    gaussian = _is_gaussian(cfg)
+    if not _is_gaussian(cfg) or cfg.mdp_importance_sampling:
+        return [(b, None) for b in cfg.boxes]
+    levels = [_mdp_levels(cfg, b) for b in cfg.boxes]
+    hits = _shared_batch_hits(cfg.model, cfg.boxes,
+                              [[t for _, t, _ in lv] for lv in levels],
+                              cfg.seed, cfg.n_samples)
+    return [(b, [(c, ref, h) for (c, _, ref), h in zip(lv, box_hits)])
+            for b, lv, box_hits in zip(cfg.boxes, levels, hits)]
 
-    def levels(b: Box, samples: np.ndarray | None = None) -> list[tuple]:
-        """(c, threshold, reference) for every c of the grid."""
-        v = vol(b)
-        if gaussian:
-            sigma = math.sqrt(exact_sigma2(model))
-            sigma_r = math.sqrt(exact_box_variance(model, b) / v)
-        else:
-            var_hat, _ = _variance_ci(samples / math.sqrt(v))
-            sigma = math.sqrt(var_hat)
-            sigma_r = sigma
-        return [(c, c * sigma * math.sqrt(v),
-                 float(norm.logsf(c * sigma / sigma_r)) / (c * c))
-                for c in cfg.c_grid]
 
-    def direct_row(b: Box, c: float, ref: float, hits: int) -> dict:
-        v = vol(b)
-        if hits == 0:
-            p_up = _clopper_pearson_upper(cfg.n_samples)
-            return dict(d=model.d, sides=b.sides, vol=v, c=c,
-                        value=math.log(p_up) / (c * c), ci=float("nan"),
-                        reference=ref, **{"pass": False},
-                        method="clopper_pearson_upper", hits=0, flagged=True)
-        p_hat = hits / cfg.n_samples
-        value = math.log(p_hat) / (c * c)
-        ci = Z95 * math.sqrt((1.0 - p_hat) / (cfg.n_samples * p_hat)) / (c * c)
-        ok = abs(value - ref) <= cfg.mdp_tolerance + ci
-        return dict(d=model.d, sides=b.sides, vol=v, c=c, value=value, ci=ci,
-                    reference=ref, **{"pass": bool(ok)}, method="direct",
-                    hits=hits, flagged=False)
-
-    def one_box(b: Box) -> list[dict]:
-        samples = sample_integrals(model, b, cfg.seed, cfg.n_samples)
-        if gaussian:  # reached with importance sampling on
+def _mdp_rows(cfg: ExperimentConfig, unit: tuple) -> list[dict]:
+    """Normalized log tail probabilities against the normal oracle."""
+    b, counted = unit
+    model, n = cfg.model, cfg.n_samples
+    if counted is None:
+        samples = sample_integrals(model, b, cfg.seed, n)
+        if _is_gaussian(cfg):  # reached with importance sampling on
             return [_mdp_importance_row(model, b, samples, threshold, c, ref,
                                         cfg.mdp_tolerance)
-                    for c, threshold, ref in levels(b)]
-        return [direct_row(b, c, ref, int((samples >= threshold).sum()))
-                for c, threshold, ref in levels(b, samples)]
+                    for c, threshold, ref in _mdp_levels(cfg, b)]
+        counted = [(c, ref, int((samples >= threshold).sum()))
+                   for c, threshold, ref in _mdp_levels(cfg, b, samples)]
+    rows = []
+    v = vol(b)
+    for c, ref, hits in counted:
+        if hits == 0:
+            p_up = _clopper_pearson_upper(n)
+            rows.append(dict(d=model.d, sides=b.sides, vol=v, c=c,
+                             value=math.log(p_up) / (c * c), ci=float("nan"),
+                             reference=ref, **{"pass": False},
+                             method="clopper_pearson_upper", hits=0,
+                             flagged=True))
+            continue
+        p_hat = hits / n
+        value = math.log(p_hat) / (c * c)
+        ci = Z95 * math.sqrt((1.0 - p_hat) / (n * p_hat)) / (c * c)
+        ok = abs(value - ref) <= cfg.mdp_tolerance + ci
+        rows.append(dict(d=model.d, sides=b.sides, vol=v, c=c, value=value,
+                         ci=ci, reference=ref, **{"pass": bool(ok)},
+                         method="direct", hits=hits, flagged=False))
+    return rows
 
-    if gaussian and not cfg.mdp_importance_sampling:
-        box_levels = [levels(b) for b in cfg.boxes]
-        hits = _shared_batch_hits(model, cfg.boxes,
-                                  [[t for _, t, _ in lv] for lv in box_levels],
-                                  cfg.seed, cfg.n_samples)
-        box_rows = [[direct_row(b, c, ref, h)
-                     for (c, _, ref), h in zip(lv, box_hits)]
-                    for b, lv, box_hits in zip(cfg.boxes, box_levels, hits)]
-    else:
-        box_rows = _map_ordered(one_box, cfg.boxes, workers)
-    for rows in box_rows:
-        for row in rows:
-            rep.add_row(**row)
-    rep.stamp(cfg.config_hash, started)
-    return rep
 
-
-def run_clt(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def _clt_rows(cfg: ExperimentConfig, b: Box) -> list[dict]:
     """KS goodness of fit of vol^(-1/2) * integral against N(0, sigma^2)."""
-    started = time.time()
-    rep = ExperimentReport(
-        name="clt",
-        columns=["d", "sides", "vol", "n_replicas", "sigma2_hat", "sigma2_ref",
-                 "ks_stat", "p_value", "pass", "flagged"],
-    )
     model = cfg.model
-    gaussian = _is_gaussian(cfg)
-
-    def one_box(b: Box) -> dict:
-        v = vol(b)
-        samples = sample_integrals(model, b, cfg.seed, cfg.n_replicas)
-        y = samples / math.sqrt(v)
-        sigma2_hat = float(y.var(ddof=1))
-        if gaussian:
-            sigma2_ref = exact_box_variance(model, b) / v
-        else:
-            sigma2_ref = sigma2_hat
-        if sigma2_ref <= 0.0:
-            return dict(d=model.d, sides=b.sides, vol=v,
-                        n_replicas=cfg.n_replicas, sigma2_hat=sigma2_hat,
-                        sigma2_ref=sigma2_ref, ks_stat=float("nan"),
-                        p_value=float("nan"), **{"pass": False}, flagged=True)
-        stat, p = kstest(y, "norm", args=(0.0, math.sqrt(sigma2_ref)))
-        return dict(d=model.d, sides=b.sides, vol=v, n_replicas=cfg.n_replicas,
-                    sigma2_hat=sigma2_hat, sigma2_ref=sigma2_ref,
-                    ks_stat=float(stat), p_value=float(p),
-                    **{"pass": bool(p > 0.01)}, flagged=False)
-
-    for row in _map_ordered(one_box, cfg.boxes, workers):
-        rep.add_row(**row)
-    rep.stamp(cfg.config_hash, started)
-    return rep
+    v = vol(b)
+    samples = sample_integrals(model, b, cfg.seed, cfg.n_replicas)
+    y = samples / math.sqrt(v)
+    sigma2_hat = float(y.var(ddof=1))
+    if _is_gaussian(cfg):
+        sigma2_ref = exact_box_variance(model, b) / v
+    else:
+        sigma2_ref = sigma2_hat
+    if sigma2_ref <= 0.0:
+        return [dict(d=model.d, sides=b.sides, vol=v,
+                     n_replicas=cfg.n_replicas, sigma2_hat=sigma2_hat,
+                     sigma2_ref=sigma2_ref, ks_stat=float("nan"),
+                     p_value=float("nan"), **{"pass": False}, flagged=True)]
+    stat, p = kstest(y, "norm", args=(0.0, math.sqrt(sigma2_ref)))
+    return [dict(d=model.d, sides=b.sides, vol=v, n_replicas=cfg.n_replicas,
+                 sigma2_hat=sigma2_hat, sigma2_ref=sigma2_ref,
+                 ks_stat=float(stat), p_value=float(p),
+                 **{"pass": bool(p > 0.01)}, flagged=False)]
 
 
-def run_additivity(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def _additivity_pairs(cfg: ExperimentConfig, workers: int) -> list[tuple]:
+    return (cfg.additivity_pairs
+            or [(b.sides[0], b.sides[0]) for b in cfg.boxes])
+
+
+def _additivity_rows(cfg: ExperimentConfig,
+                     pair: tuple[float, float]) -> list[dict]:
     """Additivity of r * sigma_r^2 along the first axis."""
-    started = time.time()
-    rep = ExperimentReport(
-        name="additivity",
-        columns=["d", "r", "s", "defect_rel", "reference_rel", "tolerance",
-                 "pass", "flagged"],
-    )
     model = cfg.model
-    gaussian = _is_gaussian(cfg)
     rest = cfg.additivity_rest or tuple(cfg.boxes[0].sides[1:])
 
     def weighted_var(r: float) -> tuple[float, float]:
@@ -310,160 +291,148 @@ def run_additivity(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
         var_hat, var_ci = _variance_ci(samples / math.sqrt(v))
         return r * var_hat, r * var_ci
 
-    def one_pair(pair: tuple[float, float]) -> dict:
-        r, s = pair
-        tr, er = weighted_var(r)
-        ts, es = weighted_var(s)
-        trs, ers = weighted_var(r + s)
-        if trs <= 0.0:
-            return dict(d=model.d, r=r, s=s, defect_rel=0.0, reference_rel=0.0,
-                        tolerance=0.0, **{"pass": True}, flagged=False)
-        defect_rel = abs(trs - tr - ts) / trs
-        if gaussian:
-            def exact_weighted(rr: float) -> float:
-                b = Box((rr,) + rest)
-                return rr * exact_box_variance(model, b) / vol(b)
-            ref_rel = abs(exact_weighted(r + s) - exact_weighted(r)
-                          - exact_weighted(s)) / exact_weighted(r + s)
-        else:
-            # finite-range boundary defect is O(m) absolute
-            ref_rel = model.m / trs
-        tol = 3.0 * math.sqrt(er ** 2 + es ** 2 + ers ** 2) / trs
-        ok = defect_rel <= ref_rel + tol
-        return dict(d=model.d, r=r, s=s, defect_rel=defect_rel,
-                    reference_rel=ref_rel, tolerance=tol, **{"pass": bool(ok)},
-                    flagged=False)
-
-    pairs = cfg.additivity_pairs or [(b.sides[0], b.sides[0]) for b in cfg.boxes]
-    for row in _map_ordered(one_pair, pairs, workers):
-        rep.add_row(**row)
-    rep.stamp(cfg.config_hash, started)
-    return rep
+    r, s = pair
+    tr, er = weighted_var(r)
+    ts, es = weighted_var(s)
+    trs, ers = weighted_var(r + s)
+    if trs <= 0.0:
+        return [dict(d=model.d, r=r, s=s, defect_rel=0.0, reference_rel=0.0,
+                     tolerance=0.0, **{"pass": True}, flagged=False)]
+    defect_rel = abs(trs - tr - ts) / trs
+    if _is_gaussian(cfg):
+        def exact_weighted(rr: float) -> float:
+            b = Box((rr,) + rest)
+            return rr * exact_box_variance(model, b) / vol(b)
+        ref_rel = abs(exact_weighted(r + s) - exact_weighted(r)
+                      - exact_weighted(s)) / exact_weighted(r + s)
+    else:
+        # finite-range boundary defect is O(m) absolute
+        ref_rel = model.m / trs
+    tol = 3.0 * math.sqrt(er ** 2 + es ** 2 + ers ** 2) / trs
+    ok = defect_rel <= ref_rel + tol
+    return [dict(d=model.d, r=r, s=s, defect_rel=defect_rel,
+                 reference_rel=ref_rel, tolerance=tol, **{"pass": bool(ok)},
+                 flagged=False)]
 
 
-def run_certificate_audit(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """End to end: base envelopes, upward iteration, descent spot checks."""
-    started = time.time()
-    rep = ExperimentReport(
-        name="audit",
-        columns=["d", "sides", "levels", "lower", "upper", "reference",
-                 "sound", "ladder_ok", "pass", "note", "flagged"],
-    )
-    model = cfg.model
-    params = cfg.engine
-    gaussian = _is_gaussian(cfg)
-    base_scale = cfg.audit_base_scale or 2.0 * params.c1
+def _base_envelope(cfg: ExperimentConfig, base: Box) -> QuadEnvelope:
+    delta0 = delta_cap(vol(base), cfg.engine.c1, cfg.model.d)
+    if _is_gaussian(cfg):
+        est = exact_cgf(cfg.model, base, lambda_grid(delta0))
+    else:
+        est = estimate_cgf(cfg.model, base, lambda_grid(delta0),
+                           cfg.n_samples, cfg.seed)
+    return quad_envelope(est, delta0)
 
-    def base_of(b: Box) -> tuple[int, Box]:
+
+def _audit_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
+    """(box, halvings to its base, base envelope) for every box.
+
+    A box narrower than the base scale gets (box, 0, None).  Boxes
+    normalising to one base share its envelope: each base is fitted once,
+    listed in box order so the result never depends on thread timing.
+    """
+    base_scale = cfg.audit_base_scale or 2.0 * cfg.engine.c1
+
+    def base_of(b: Box) -> tuple[int, Box | None]:
+        if width(b) < base_scale:
+            return 0, None
         n = normalize_to_scale(b, base_scale)
         return n, halve_n(b, n)
 
-    def base_envelope(base: Box) -> QuadEnvelope:
-        delta0 = delta_cap(vol(base), params.c1, model.d)
-        if gaussian:
-            est = exact_cgf(model, base, lambda_grid(delta0))
-        else:
-            est = estimate_cgf(model, base, lambda_grid(delta0),
-                               cfg.n_samples, cfg.seed)
-        return quad_envelope(est, delta0)
-
-    # boxes normalising to one base share its envelope: estimate each base
-    # once, listed in box order so the result never depends on thread timing
-    bases = list(dict.fromkeys(base_of(b)[1] for b in cfg.boxes
-                               if width(b) >= base_scale))
-    envelopes = dict(zip(bases, _map_ordered(base_envelope, bases, workers)))
-
-    def one_box(b: Box) -> dict:
-        v = vol(b)
-        if width(b) < base_scale:
-            return dict(d=model.d, sides=b.sides, levels=0, lower=float("nan"),
-                        upper=float("nan"), reference=float("nan"), sound=False,
-                        ladder_ok=False, **{"pass": False},
-                        note="width below base scale", flagged=True)
-        n, base = base_of(b)
-        env = envelopes[base]
-        delta0 = env.delta
-        note = ""
-        try:
-            up = iterate_quadratic_upper(env.U, delta0, b, n, params)
-            upper = up.U
-        except CertificateError as exc:
-            return dict(d=model.d, sides=b.sides, levels=n, lower=float("nan"),
-                        upper=float("nan"), reference=float("nan"), sound=False,
-                        ladder_ok=False, **{"pass": False}, note=str(exc),
-                        flagged=True)
-        annihilated = False
-        try:
-            low = iterate_quadratic_lower(env.L, delta0, b, n, params)
-            lower = low.L
-        except CertificateError as exc:
-            lower = 0.0
-            note = str(exc)
-            annihilated = True
-        if gaussian:
-            reference = 0.5 * exact_box_variance(model, b) / v
-        else:
-            samples = sample_integrals(model, b, cfg.seed, cfg.n_replicas)
-            reference = float((samples / math.sqrt(v)).var(ddof=1)) / 2.0
-        sound = lower <= reference * (1 + 1e-9) and upper >= reference * (1 - 1e-9)
-        lam_probe = 0.5 * math.sqrt(v) / (params.c3 * math.log(v) ** model.d)
-        try:
-            cert = ladder_descent(b, lam_probe, params, "up")
-            ladder_ok = not any(c.name.startswith("width") and not c.ok
-                                for c in cert.checks)
-        except CertificateError as exc:
-            ladder_ok = False
-            note = note or str(exc)
-        return dict(d=model.d, sides=b.sides, levels=n, lower=lower,
-                    upper=upper, reference=reference, sound=bool(sound),
-                    ladder_ok=bool(ladder_ok), **{"pass": bool(sound)},
-                    note=note, flagged=annihilated)
-
-    for row in _map_ordered(one_box, cfg.boxes, workers):
-        rep.add_row(**row)
-    rep.stamp(cfg.config_hash, started)
-    return rep
+    based = [base_of(b) for b in cfg.boxes]
+    bases = list(dict.fromkeys(base for _, base in based if base is not None))
+    envelopes = dict(zip(bases, _map_ordered(partial(_base_envelope, cfg),
+                                             bases, workers)))
+    return [(b, n, envelopes.get(base))
+            for b, (n, base) in zip(cfg.boxes, based)]
 
 
-def run_calibrate(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Empirical calibration of the single-step drift constant."""
-    started = time.time()
-    rep = ExperimentReport(
-        name="calibrate",
-        columns=["c1", "n_checks", "n_admissible", "n_failed", "pass",
-                 "flagged"],
-    )
-    model = cfg.model
-    gaussian = _is_gaussian(cfg)
+def _audit_rows(cfg: ExperimentConfig, unit: tuple) -> list[dict]:
+    """End to end: base envelope, upward iteration, descent spot check."""
+    b, n, env = unit
+    model, params = cfg.model, cfg.engine
 
-    if gaussian:
-        def oracle_for(b: Box):
-            return exact_cgf(model, b, lambda_grid(delta_cap(vol(b), 1.0, model.d)))
+    def failed(note: str) -> list[dict]:
+        nan = float("nan")
+        return [dict(d=model.d, sides=b.sides, levels=n, lower=nan, upper=nan,
+                     reference=nan, sound=False, ladder_ok=False,
+                     **{"pass": False}, note=note, flagged=True)]
+
+    if env is None:
+        return failed("width below base scale")
+    try:
+        upper = iterate_quadratic_upper(env.U, env.delta, b, n, params).U
+    except CertificateError as exc:
+        return failed(str(exc))
+    note, annihilated = "", False
+    try:
+        lower = iterate_quadratic_lower(env.L, env.delta, b, n, params).L
+    except CertificateError as exc:
+        lower, note, annihilated = 0.0, str(exc), True
+    v = vol(b)
+    if _is_gaussian(cfg):
+        reference = 0.5 * exact_box_variance(model, b) / v
     else:
-        def oracle_for(b: Box):
-            grid = lambda_grid(delta_cap(vol(b), 1.0, model.d))
-            return estimate_cgf(model, b, grid, cfg.n_samples, cfg.seed)
+        samples = sample_integrals(model, b, cfg.seed, cfg.n_replicas)
+        reference = float((samples / math.sqrt(v)).var(ddof=1)) / 2.0
+    sound = lower <= reference * (1 + 1e-9) and upper >= reference * (1 - 1e-9)
+    lam_probe = 0.5 * math.sqrt(v) / (params.c3 * math.log(v) ** model.d)
+    try:
+        cert = ladder_descent(b, lam_probe, params, "up")
+        ladder_ok = not any(c.name.startswith("width") and not c.ok
+                            for c in cert.checks)
+    except CertificateError as exc:
+        ladder_ok = False
+        note = note or str(exc)
+    return [dict(d=model.d, sides=b.sides, levels=n, lower=lower,
+                 upper=upper, reference=reference, sound=bool(sound),
+                 ladder_ok=bool(ladder_ok), **{"pass": bool(sound)},
+                 note=note, flagged=annihilated)]
+
+
+def _calibrate_rows(cfg: ExperimentConfig, boxes: list[Box]) -> list[dict]:
+    """Empirical calibration of the single-step drift constant."""
+    model = cfg.model
+
+    def oracle_for(b: Box):
+        grid = lambda_grid(delta_cap(vol(b), 1.0, model.d))
+        if _is_gaussian(cfg):
+            return exact_cgf(model, b, grid)
+        return estimate_cgf(model, b, grid, cfg.n_samples, cfg.seed)
 
     try:
-        c1, checks = calibrate_c1(oracle_for, cfg.boxes, cfg.engine,
+        c1, checks = calibrate_c1(oracle_for, boxes, cfg.engine,
                                   seed=cfg.seed)
-        admissible = [c for c in checks if c["admissible"]]
-        failed = [c for c in admissible if not c["holds"]]
-        rep.add_row(c1=c1, n_checks=len(checks), n_admissible=len(admissible),
-                    n_failed=len(failed), **{"pass": not failed}, flagged=False)
-    except CertificateError as exc:
-        rep.add_row(c1=float("nan"), n_checks=0, n_admissible=0, n_failed=0,
-                    **{"pass": False}, flagged=False)
-        rep.metadata["error"] = str(exc)
-    rep.stamp(cfg.config_hash, started)
-    return rep
+    except (CertificateError, CgfError) as exc:
+        return [dict(c1=float("nan"), n_checks=0, n_admissible=0, n_failed=0,
+                     **{"pass": False}, flagged=False, error=str(exc))]
+    admissible = [c for c in checks if c["admissible"]]
+    failed = [c for c in admissible if not c["holds"]]
+    return [dict(c1=c1, n_checks=len(checks), n_admissible=len(admissible),
+                 n_failed=len(failed), **{"pass": not failed}, flagged=False)]
 
 
 RUNNERS = {
-    "lrp": run_lrp,
-    "mdp": run_mdp,
-    "clt": run_clt,
-    "additivity": run_additivity,
-    "audit": run_certificate_audit,
-    "calibrate": run_calibrate,
+    "lrp": _runner("lrp", ["d", "sides", "vol", "lambda", "value", "ci",
+                           "reference", "pass", "provenance", "flagged"],
+                   _lrp_rows),
+    "mdp": _runner("mdp", ["d", "sides", "vol", "c", "value", "ci",
+                           "reference", "pass", "method", "hits", "flagged"],
+                   _mdp_rows, _mdp_units),
+    "clt": _runner("clt", ["d", "sides", "vol", "n_replicas", "sigma2_hat",
+                           "sigma2_ref", "ks_stat", "p_value", "pass",
+                           "flagged"],
+                   _clt_rows),
+    "additivity": _runner("additivity", ["d", "r", "s", "defect_rel",
+                                         "reference_rel", "tolerance",
+                                         "pass", "flagged"],
+                          _additivity_rows, _additivity_pairs),
+    "audit": _runner("audit", ["d", "sides", "levels", "lower", "upper",
+                               "reference", "sound", "ladder_ok", "pass",
+                               "note", "flagged"],
+                     _audit_rows, _audit_units),
+    "calibrate": _runner("calibrate", ["c1", "n_checks", "n_admissible",
+                                       "n_failed", "pass", "flagged"],
+                         _calibrate_rows, lambda cfg, workers: [cfg.boxes]),
 }

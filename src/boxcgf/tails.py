@@ -68,9 +68,6 @@ class MdpParams:
     window_check_slack: float
     eps_clamped: bool
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
 
 def tail_sandwich(eps: float, a: float, big_a: float, x: float) -> TailSandwich:
     """Two-sided log-tail bounds at threshold x in [a, A].

@@ -17,7 +17,7 @@ from boxcgf.config import ExperimentConfig
 from boxcgf.engine import (CertificateError, EngineParams, SQRT2,
                            iterate_quadratic_lower, iterate_quadratic_upper,
                            ladder_descent, slope_step, step_up)
-from boxcgf.experiments import run_clt, run_lrp, run_mdp
+from boxcgf.experiments import RUNNERS
 from boxcgf.fields import FieldModel, exact_box_variance
 from boxcgf.tails import (log_normal_tail, log_normal_tail_brackets,
                           tail_sandwich, tilt_internals)
@@ -185,7 +185,7 @@ def _config(**overrides):
 
 
 def test_criterion_6_lrp_desk_scale():
-    rep = run_lrp(_config())
+    rep = RUNNERS["lrp"](_config())
     assert rep.rows
     for row in rep.rows:
         if row["flagged"]:
@@ -207,11 +207,11 @@ def test_criterion_7_clt_desk_scale():
                "kernel": "indicator", "nonlinearity": "clipped",
                "clip_level": 1.0, "grid_h": 0.25, "amplitude": 1.0},
         boxes=[[10000.0]], n_samples=1000, n_replicas=10_000)
-    rep = run_clt(cfg)
+    rep = RUNNERS["clt"](cfg)
     (row,) = rep.rows
     assert row["p_value"] > 0.01, row
-    gauss = run_clt(_config(boxes=[[10000.0]], n_samples=1000,
-                            n_replicas=10_000))
+    gauss = RUNNERS["clt"](_config(boxes=[[10000.0]], n_samples=1000,
+                                   n_replicas=10_000))
     (grow,) = gauss.rows
     assert abs(grow["sigma2_hat"] - 1.0) <= 0.03, grow
     _report(7, f"nonlinear KS p={row['p_value']:.3f}; Gaussian sigma2 "
@@ -219,7 +219,7 @@ def test_criterion_7_clt_desk_scale():
 
 
 def test_criterion_8_mdp_desk_scale():
-    rep = run_mdp(_config(boxes=[[10000.0]], n_samples=10_000_000))
+    rep = RUNNERS["mdp"](_config(boxes=[[10000.0]], n_samples=10_000_000))
     counted = [r for r in rep.rows if not r["flagged"]]
     assert counted
     for row in counted:

@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxcgf.boxes import (Box, BoxError, Multiindex, box, dyadic_scale, halve,
-                          halve_n, is_near_cube, length, measures,
-                          normalize_to_scale, vol, width)
+                          halve_n, is_near_cube, length, normalize_to_scale,
+                          vol, width)
 
 sides_strategy = st.lists(
     st.floats(min_value=0.01, max_value=1e6, allow_nan=False,
@@ -14,15 +14,10 @@ sides_strategy = st.lists(
 
 
 def test_measures_frozen_values():
-    m = measures(box(3.0, 8.0, 5.0))
-    assert m.vol == 120.0
-    assert m.width == 3.0
-    assert m.length == 8.0
-    assert m.arglength == 2
-
-
-def test_arglength_tie_takes_first_index():
-    assert measures(box(4.0, 7.0, 7.0)).arglength == 2
+    b = box(3.0, 8.0, 5.0)
+    assert vol(b) == 120.0
+    assert width(b) == 3.0
+    assert length(b) == 8.0
 
 
 def test_halve_splits_longest_side_min_index_tie():

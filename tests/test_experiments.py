@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,7 @@ from boxcgf.boxes import vol
 from boxcgf.cgf import Z95
 from boxcgf.cli import main
 from boxcgf.config import ConfigError, ExperimentConfig
-from boxcgf.experiments import (run_additivity, run_calibrate,
-                                run_certificate_audit, run_clt, run_lrp,
-                                run_mdp)
+from boxcgf.experiments import RUNNERS
 from boxcgf.fields import (discrete_box_std, exact_sigma2,
                            sample_integrals)
 from boxcgf.report import ExperimentReport
@@ -46,6 +46,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"model": {"d": 1, "kind": "gaussian_ma",
                                               "m": 1.0}})  # missing keys
+    assert small_config(n_samples=1e5).n_samples == 100_000  # integral float
 
 
 def test_config_hash_stable():
@@ -55,7 +56,7 @@ def test_config_hash_stable():
 
 
 def test_lrp_rows_and_oracle():
-    rep = run_lrp(small_config())
+    rep = RUNNERS["lrp"](small_config())
     assert rep.columns[:8] == ["d", "sides", "vol", "lambda", "value", "ci",
                                "reference", "pass"]
     exact = [r for r in rep.rows if r["provenance"] == "exact"]
@@ -70,14 +71,14 @@ def test_lrp_rows_and_oracle():
 
 def test_lrp_constraint_flags_large_lambda():
     cfg = small_config(lrp_lambda_bound=1e-6)
-    rep = run_lrp(cfg)
+    rep = RUNNERS["lrp"](cfg)
     estimates = [r for r in rep.rows if r["provenance"] == "estimate"]
     assert estimates and all(r["flagged"] for r in estimates)
     assert rep.all_pass  # flagged rows are excluded from the verdict
 
 
 def test_lrp_values_approach_limit_with_volume():
-    rep = run_lrp(small_config())
+    rep = RUNNERS["lrp"](small_config())
     by_vol = {}
     for row in rep.rows:
         if row["provenance"] == "exact":
@@ -87,7 +88,7 @@ def test_lrp_values_approach_limit_with_volume():
 
 
 def test_mdp_direct_and_reference():
-    rep = run_mdp(small_config(boxes=[[1000.0]], n_samples=200_000))
+    rep = RUNNERS["mdp"](small_config(boxes=[[1000.0]], n_samples=200_000))
     assert rep.all_pass
     for row in rep.rows:
         assert row["method"] == "direct"
@@ -96,8 +97,8 @@ def test_mdp_direct_and_reference():
 
 
 def test_mdp_zero_hits_flagged_clopper_pearson():
-    rep = run_mdp(small_config(boxes=[[1000.0]], n_samples=1_000,
-                               c_grid=[6.0]))
+    rep = RUNNERS["mdp"](small_config(boxes=[[1000.0]], n_samples=1_000,
+                                      c_grid=[6.0]))
     (row,) = rep.rows
     assert row["flagged"] and row["method"] == "clopper_pearson_upper"
     assert row["value"] == pytest.approx(math.log(1 - 0.05 ** 0.001) / 36.0)
@@ -107,7 +108,7 @@ def test_mdp_zero_hits_flagged_clopper_pearson():
 def test_mdp_importance_sampling_matches_reference():
     cfg = small_config(boxes=[[1000.0]], n_samples=100_000,
                        c_grid=[2.0, 3.0], mdp_importance_sampling=True)
-    rep = run_mdp(cfg)
+    rep = RUNNERS["mdp"](cfg)
     assert rep.all_pass
     for row in rep.rows:
         assert row["method"] == "importance"
@@ -146,7 +147,7 @@ def test_mdp_shared_batch_pass_matches_per_box_counts(n_samples, monkeypatch):
         raise AssertionError("direct Gaussian rows sampled a box")
 
     monkeypatch.setattr(experiments, "sample_integrals", per_box_sampling)
-    rep = run_mdp(cfg, workers=2)
+    rep = RUNNERS["mdp"](cfg, workers=2)
     got = [(r["hits"], r["value"], r["ci"], r["method"]) for r in rep.rows]
     assert repr(got) == repr(expect)
     assert got[2][0] == 0 and got[0][0] > 0
@@ -167,7 +168,7 @@ def test_mdp_importance_rows_match_per_box_reference():
             w = np.exp(-t * tilted[hit] / sd ** 2 + t * t / (2.0 * sd ** 2))
             expect.append((int(hit.sum()),
                            math.log(float(w.sum()) / len(y)) / (c * c)))
-    rep = run_mdp(cfg)
+    rep = RUNNERS["mdp"](cfg)
     assert all(r["method"] == "importance" for r in rep.rows)
     assert [r["hits"] for r in rep.rows] == [h for h, _ in expect]
     assert [r["value"] for r in rep.rows] == pytest.approx(
@@ -175,7 +176,7 @@ def test_mdp_importance_rows_match_per_box_reference():
 
 
 def test_clt_gaussian_exact_reference():
-    rep = run_clt(small_config(boxes=[[500.0]]))
+    rep = RUNNERS["clt"](small_config(boxes=[[500.0]]))
     (row,) = rep.rows
     assert row["pass"] and row["p_value"] > 0.01
     assert row["sigma2_ref"] == pytest.approx(
@@ -188,13 +189,13 @@ def test_clt_nonlinear_model():
                "kernel": "indicator", "nonlinearity": "clipped",
                "clip_level": 1.0, "grid_h": 0.25, "amplitude": 1.0},
         boxes=[[300.0]], n_replicas=2_000)
-    rep = run_clt(cfg)
+    rep = RUNNERS["clt"](cfg)
     (row,) = rep.rows
     assert row["pass"]
 
 
 def test_additivity_defect_matches_closed_form():
-    rep = run_additivity(small_config())
+    rep = RUNNERS["additivity"](small_config())
     assert rep.all_pass
     for row in rep.rows:
         # Gaussian oracle: defect of r*(1 - 1/(3r)) is exactly 1/3 absolute
@@ -204,7 +205,7 @@ def test_additivity_defect_matches_closed_form():
 
 
 def test_audit_soundness_and_flagging():
-    rep = run_certificate_audit(small_config(boxes=[[256.0], [1024.0]]))
+    rep = RUNNERS["audit"](small_config(boxes=[[256.0], [1024.0]]))
     for row in rep.rows:
         assert row["sound"]
         assert row["upper"] >= row["reference"] >= row["lower"]
@@ -213,7 +214,7 @@ def test_audit_soundness_and_flagging():
 
 
 def test_audit_small_box_flagged():
-    rep = run_certificate_audit(small_config(boxes=[[6.0]]))
+    rep = RUNNERS["audit"](small_config(boxes=[[6.0]]))
     (row,) = rep.rows
     assert row["flagged"] and row["note"] == "width below base scale"
 
@@ -232,27 +233,44 @@ def test_audit_estimates_shared_base_once(monkeypatch):
         return estimate(model, b, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "estimate_cgf", counted)
-    rep = run_certificate_audit(cfg, workers=2)
+    rep = RUNNERS["audit"](cfg, workers=2)
     assert calls == [(8.0,)]
     # one box per run estimates its own base: the rows of the shared run
     # must be those runs' rows
-    single = [run_certificate_audit(dataclasses.replace(cfg, boxes=[b])).to_csv()
+    single = [RUNNERS["audit"](dataclasses.replace(cfg, boxes=[b])).to_csv()
               for b in cfg.boxes]
     assert rep.to_csv().splitlines()[1:] == [s.splitlines()[1] for s in single]
 
 
 def test_calibrate_reports_c1():
-    rep = run_calibrate(small_config(boxes=[[64.0], [256.0]]))
+    rep = RUNNERS["calibrate"](small_config(boxes=[[64.0], [256.0]]))
     (row,) = rep.rows
     assert row["pass"]
     assert row["c1"] >= 3.0
     assert row["n_admissible"] > 0 and row["n_failed"] == 0
 
 
+def test_calibrate_grid_error_is_a_failed_row(tmp_path):
+    # single_step_check probes p*lambda/sqrt2 past the estimated grid
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": {"d": 1, "kind": "bounded_nonlinear_ma", "m": 1.0,
+                  "nonlinearity": "clipped"},
+        "boxes": [[16.0], [32.0]], "n_samples": 2000, "seed": 7}))
+    out = tmp_path / "out"
+    for fmt in ("csv", "json"):
+        assert main(["calibrate", "--config", str(path), "--out", str(out),
+                     "--format", fmt]) == 1
+    assert (out / "calibrate.csv").read_text().splitlines()[1] == "nan,0,0,0,0,0"
+    error = json.loads((out / "calibrate.json").read_text())["metadata"]["error"]
+    assert "outside estimated grid" in error
+
+
 def test_workers_do_not_change_results():
     cfg = small_config()
-    assert run_lrp(cfg, workers=1).to_csv() == run_lrp(cfg, workers=4).to_csv()
-    assert run_mdp(cfg, workers=1).to_csv() == run_mdp(cfg, workers=3).to_csv()
+    lrp, mdp = RUNNERS["lrp"], RUNNERS["mdp"]
+    assert lrp(cfg, workers=1).to_csv() == lrp(cfg, workers=4).to_csv()
+    assert mdp(cfg, workers=1).to_csv() == mdp(cfg, workers=3).to_csv()
 
 
 def test_report_pass_semantics():
@@ -325,6 +343,12 @@ def test_cli_bad_config_is_exit_2(tmp_path):
     ({"seed": -5}, "seed must fit in u64"),
     ({"seed": 2 ** 64}, "seed must fit in u64"),
     ({"n_replicas": 1}, "n_replicas must be >= 2"),
+    ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"n_samples": 100_000.5}, "n_samples must be an integer"),
+    ({"n_replicas": False}, "n_replicas must be an integer"),
+    ({"mdp_importance_sampling": "false"},
+     "mdp_importance_sampling must be true or false, got 'false'"),
 ])
 def test_cli_malformed_config_is_exit_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
@@ -351,3 +375,27 @@ def test_cli_failing_rows_exit_1(tmp_path, monkeypatch):
     monkeypatch.setitem(boxcgf.cli.RUNNERS, "lrp", failing_runner)
     path = write_config(tmp_path, boxes=[[200.0]], n_samples=20_000)
     assert main(["lrp", "--config", str(path)]) == 1
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# First 16 hex digits of the sha256 of each default config's CSV, recorded
+# with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1: the sampled values and
+# the KS p-values depend on those versions.
+DEFAULT_CSV_SHA256 = {
+    "additivity_gaussian_d1": "5be2e671beb44455",
+    "audit_gaussian_d1": "7e6812b393fa90bb",
+    "audit_gaussian_d2": "741b9f2db235944a",
+    "calibrate_gaussian_d1": "1137bb9800c9ff1b",
+    "clt_nonlinear_d1": "642201dea39b46e2",
+    "lrp_gaussian_d1": "99be8d4a01036ad3",
+    "mdp_gaussian_d1": "ecc0b2079edf388d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_default_config_csv_bytes(name, tmp_path):
+    command = name.split("_")[0]
+    main([command, "--config", str(CONFIGS / f"{name}.json"),
+          "--out", str(tmp_path)])
+    csv = (tmp_path / f"{command}.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest()[:16] == DEFAULT_CSV_SHA256[name]
