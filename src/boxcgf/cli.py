@@ -2,7 +2,8 @@
 
 Usage: boxcgf <subcommand> --config cfg.json [--out DIR] [--seed N]
 [--workers N] [--format csv|json].  Exit code is 0 iff every non-flagged
-row passes.  The worker count parallelizes independent rows only and
+row passes.  The worker count sets how many units of work run at once:
+a subcommand's rows, and for clt also fixed-size chunks of replicas.  It
 never changes any output byte.
 """
 
@@ -37,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed (u64)")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers (never affects results)")
+                       help="threads over rows, and over replica chunks "
+                            "for clt (never affects results)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 

@@ -26,6 +26,13 @@ def _integer(data: dict, key: str, default: int | None = None) -> int:
     return int(value)
 
 
+def _real(value, key: str) -> float:
+    """value as a float; only an int or a float (not a bool) is a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class ExperimentConfig:
     model: FieldModel
@@ -81,22 +88,29 @@ class ExperimentConfig:
                                   "e.g. [[8.0], [16.0]]")
             return cls(
                 model=model,
-                boxes=[Box(tuple(float(s) for s in sides)) for sides in boxes],
-                mu_grid=[float(x) for x in data.get("mu_grid", [0.5, 1.0, 2.0])],
-                c_grid=[float(x) for x in data.get("c_grid", [1.5, 2.0, 2.5])],
+                boxes=[Box(tuple(_real(s, "box sides") for s in sides))
+                       for sides in boxes],
+                mu_grid=[_real(x, "mu_grid")
+                         for x in data.get("mu_grid", [0.5, 1.0, 2.0])],
+                c_grid=[_real(x, "c_grid")
+                        for x in data.get("c_grid", [1.5, 2.0, 2.5])],
                 n_samples=_integer(data, "n_samples", 100_000),
                 n_replicas=_integer(data, "n_replicas", 10_000),
                 seed=_integer(data, "seed"),
                 engine=engine,
-                lrp_lambda_bound=float(data.get("lrp_lambda_bound", 0.5)),
-                lrp_tolerance=float(data.get("lrp_tolerance", 0.10)),
-                mdp_tolerance=float(data.get("mdp_tolerance", 0.10)),
+                lrp_lambda_bound=_real(data.get("lrp_lambda_bound", 0.5),
+                                       "lrp_lambda_bound"),
+                lrp_tolerance=_real(data.get("lrp_tolerance", 0.10),
+                                    "lrp_tolerance"),
+                mdp_tolerance=_real(data.get("mdp_tolerance", 0.10),
+                                    "mdp_tolerance"),
                 mdp_importance_sampling=importance,
-                additivity_pairs=[tuple(map(float, p))
+                additivity_pairs=[tuple(_real(x, "additivity_pairs") for x in p)
                                   for p in data.get("additivity_pairs", [])],
-                additivity_rest=tuple(float(s)
+                additivity_rest=tuple(_real(s, "additivity_rest")
                                       for s in data.get("additivity_rest", [])),
-                audit_base_scale=(float(data["audit_base_scale"])
+                audit_base_scale=(_real(data["audit_base_scale"],
+                                        "audit_base_scale")
                                   if "audit_base_scale" in data else None),
                 raw=data,
             )

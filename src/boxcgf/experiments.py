@@ -6,7 +6,8 @@ recomputable from the row itself.  One runner times every subcommand,
 builds its report, maps its row function over its units of work and adds
 the rows in unit order.  The units are the config's boxes, except for
 additivity (its pairs), audit (boxes with their base envelopes), mdp
-(boxes with their shared-batch hits) and calibrate (one unit: the box
+(boxes with their shared-batch hits), clt (boxes with their replicas,
+sampled in one pass over all boxes) and calibrate (one unit: the box
 family).  Replica streams are counter-based and chunked at fixed size, so
 the worker count never changes any output.
 """
@@ -27,8 +28,9 @@ from .cgf import (Z95, CgfError, QuadEnvelope, delta_cap, estimate_cgf,
 from .config import ExperimentConfig
 from .engine import (CertificateError, calibrate_c1, iterate_quadratic_lower,
                      iterate_quadratic_upper, ladder_descent)
-from .fields import (discrete_box_std, exact_box_variance, exact_sigma2,
-                     sample_integrals, standard_batches)
+from .fields import (REPLICA_CHUNK, discrete_box_std, exact_box_variance,
+                     exact_sigma2, sample_box_integrals, sample_integrals,
+                     standard_batches)
 from .report import ExperimentReport
 
 
@@ -249,11 +251,25 @@ def _mdp_rows(cfg: ExperimentConfig, unit: tuple) -> list[dict]:
     return rows
 
 
-def _clt_rows(cfg: ExperimentConfig, b: Box) -> list[dict]:
+def _clt_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
+    """Boxes with their replicas, sampled in one pass over all boxes.
+
+    The pass runs in chunks of ``REPLICA_CHUNK`` replicas, ``workers``
+    at a time; a Gaussian batch is drawn whole, as one chunk.
+    """
+    n = cfg.n_replicas
+    step = n if _is_gaussian(cfg) else REPLICA_CHUNK
+    chunks = [range(i, min(i + step, n)) for i in range(0, n, step)]
+    samples = _map_ordered(partial(sample_box_integrals, cfg.model, cfg.boxes,
+                                   cfg.seed), chunks, workers)
+    return list(zip(cfg.boxes, np.concatenate(samples, axis=1)))
+
+
+def _clt_rows(cfg: ExperimentConfig, unit: tuple) -> list[dict]:
     """KS goodness of fit of vol^(-1/2) * integral against N(0, sigma^2)."""
+    b, samples = unit
     model = cfg.model
     v = vol(b)
-    samples = sample_integrals(model, b, cfg.seed, cfg.n_replicas)
     y = samples / math.sqrt(v)
     sigma2_hat = float(y.var(ddof=1))
     if _is_gaussian(cfg):
@@ -283,18 +299,16 @@ def _additivity_rows(cfg: ExperimentConfig,
     model = cfg.model
     rest = cfg.additivity_rest or tuple(cfg.boxes[0].sides[1:])
 
-    def weighted_var(r: float) -> tuple[float, float]:
-        """(r * sigma_r^2, 95% half-width), sigma_r^2 = Var/vol."""
-        b = Box((r,) + rest)
-        v = vol(b)
-        samples = sample_integrals(model, b, cfg.seed, cfg.n_replicas)
-        var_hat, var_ci = _variance_ci(samples / math.sqrt(v))
-        return r * var_hat, r * var_ci
+    def weighted_var(b: Box, samples) -> tuple[float, float]:
+        """(r * Var/vol, 95% half-width), r the box's first side."""
+        var_hat, var_ci = _variance_ci(samples / math.sqrt(vol(b)))
+        return b.sides[0] * var_hat, b.sides[0] * var_ci
 
     r, s = pair
-    tr, er = weighted_var(r)
-    ts, es = weighted_var(s)
-    trs, ers = weighted_var(r + s)
+    boxes = [Box((x,) + rest) for x in (r, s, r + s)]
+    samples = sample_box_integrals(model, boxes, cfg.seed,
+                                   range(cfg.n_replicas))
+    (tr, er), (ts, es), (trs, ers) = map(weighted_var, boxes, samples)
     if trs <= 0.0:
         return [dict(d=model.d, r=r, s=s, defect_rel=0.0, reference_rel=0.0,
                      tolerance=0.0, **{"pass": True}, flagged=False)]
@@ -423,7 +437,7 @@ RUNNERS = {
     "clt": _runner("clt", ["d", "sides", "vol", "n_replicas", "sigma2_hat",
                            "sigma2_ref", "ks_stat", "p_value", "pass",
                            "flagged"],
-                   _clt_rows),
+                   _clt_rows, _clt_units),
     "additivity": _runner("additivity", ["d", "r", "s", "defect_rel",
                                          "reference_rel", "tolerance",
                                          "pass", "flagged"],

@@ -98,6 +98,22 @@ def _tile_noise(seed: int, replica: int, tag: int, tile: tuple[int, ...],
     return rng.standard_normal(shape)
 
 
+def _scatter_plan(ranges: list[tuple[tuple[int, ...], tuple[int, ...]]],
+                  tl: int) -> list[tuple[tuple[int, ...], list[tuple]]]:
+    """Each noise tile (edge tl) that the cell ranges [lo, hi) touch, once,
+    with a (range index, destination slices, tile slices) entry per range."""
+    plan: dict[tuple[int, ...], list[tuple]] = {}
+    for i, (lo, hi) in enumerate(ranges):
+        for tile in product(*[range(l // tl, (h - 1) // tl + 1)
+                              for l, h in zip(lo, hi)]):
+            cuts = [(max(l, t * tl), min(h, (t + 1) * tl), l, t * tl)
+                    for t, l, h in zip(tile, lo, hi)]
+            dst = tuple(slice(a - l, b - l) for a, b, l, _ in cuts)
+            src = tuple(slice(a - t0, b - t0) for a, b, _, t0 in cuts)
+            plan.setdefault(tile, []).append((i, dst, src))
+    return sorted(plan.items())
+
+
 def white_noise(seed: int, replica: int, lo: tuple[int, ...], hi: tuple[int, ...],
                 tag: int = _GRID_TAG) -> np.ndarray:
     """Standard normals for the absolute cell ranges [lo_k, hi_k).
@@ -105,52 +121,77 @@ def white_noise(seed: int, replica: int, lo: tuple[int, ...], hi: tuple[int, ...
     Cell values depend only on (seed, replica, tag, absolute cell index),
     never on the requested ranges, so overlapping requests agree.
     """
-    d = len(lo)
-    tl = _TILE_LEN.get(d, 8)
+    tl = _TILE_LEN.get(len(lo), 8)
     out = np.empty(tuple(h - l for l, h in zip(lo, hi)))
-    tile_ranges = [range(math.floor(l / tl), math.floor((h - 1) / tl) + 1)
-                   for l, h in zip(lo, hi)]
-    tile_shape = (tl,) * d
-    for tile in product(*tile_ranges):
-        block = _tile_noise(seed, replica, tag, tile, tile_shape)
-        src = []
-        dst = []
-        for k in range(d):
-            t0 = tile[k] * tl
-            a = max(lo[k], t0)
-            b = min(hi[k], t0 + tl)
-            src.append(slice(a - t0, b - t0))
-            dst.append(slice(a - lo[k], b - lo[k]))
-        out[tuple(dst)] = block[tuple(src)]
+    for tile, parts in _scatter_plan([(lo, hi)], tl):
+        block = _tile_noise(seed, replica, tag, tile, (tl,) * len(lo))
+        for _, dst, src in parts:
+            out[dst] = block[src]
     return out
 
 
-def _apply_nonlinearity(model: FieldModel, g: np.ndarray) -> np.ndarray:
+def _apply_nonlinearity(model: FieldModel, g: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
     if model.nonlinearity == "identity":
         return g
     # odd transform of a symmetric field: analytically centered already
     lv = model.clip_level
-    return np.clip(g, -lv, lv)
+    return np.clip(g, -lv, lv, out=out)
 
 
-def _valid_correlate(noise: np.ndarray, taps: np.ndarray) -> np.ndarray:
+def _valid_correlate(noise: np.ndarray, taps: np.ndarray,
+                     scratch: list[np.ndarray] | None = None) -> np.ndarray:
     """Valid-mode correlation of every axis with the 1-d taps.
 
     The kernel is a separable product, so each axis is filtered in turn:
     out[i] = sum_j noise[i + j] * taps[j], added up over j in increasing
-    order as whole shifted slices.  Slices keep C order, so the result is
-    laid out (and later reduced) exactly as a per-line convolution's.
+    order as whole shifted slices.  Each stage fills a C-ordered prefix of
+    a flat buffer of ``scratch`` (three of at least ``noise.size`` cells,
+    fresh by default), so the result is laid out (and later reduced)
+    exactly as a per-line convolution's.
     """
-    arr = noise
-    k = len(taps)
+    out_buf, next_buf, prod_buf = scratch or [np.empty(noise.size)
+                                              for _ in range(3)]
+    arr, k = noise, len(taps)
     for axis in range(noise.ndim):
         n = arr.shape[axis] - k + 1
+        shape = arr.shape[:axis] + (n,) + arr.shape[axis + 1:]
+        out, prod = (buf[:math.prod(shape)].reshape(shape)
+                     for buf in (out_buf, prod_buf))
         lead = (slice(None),) * axis
-        out = arr[lead + (slice(0, n),)] * taps[0]
+        np.multiply(arr[lead + (slice(0, n),)], taps[0], out=out)
         for j in range(1, k):
-            out += arr[lead + (slice(j, j + n),)] * taps[j]
-        arr = out
+            np.multiply(arr[lead + (slice(j, j + n),)], taps[j], out=prod)
+            out += prod
+        arr, out_buf, next_buf = out, next_buf, out_buf
     return arr
+
+
+def _grid_integrals(model: FieldModel, boxes: list[Box], seed: int,
+                    replicas: range) -> np.ndarray:
+    """The grid simulation of every box at every replica, in one pass.
+
+    A replica draws each tile of the boxes' union once into the boxes'
+    noise buffers; buffers and scratch live for the whole call, and the
+    in-place operations are those of fresh arrays, in the same order.
+    """
+    h, d, taps = model.grid_h, model.d, _taps(model)
+    tl = _TILE_LEN.get(d, 8)
+    npts = [_grid_points(model, b) for b in boxes]
+    noise = [np.empty(tuple(n + len(taps) - 1 for n in pts)) for pts in npts]
+    plan = _scatter_plan([((1 - len(taps),) * d, pts) for pts in npts], tl)
+    scratch = [np.empty(max(buf.size for buf in noise)) for _ in range(3)]
+    out = np.empty((len(boxes), len(replicas)))
+    for col, replica in enumerate(replicas):
+        for tile, parts in plan:
+            block = _tile_noise(seed, replica, _GRID_TAG, tile, (tl,) * d)
+            for i, dst, src in parts:
+                noise[i][dst] = block[src]
+        for i, buf in enumerate(noise):
+            g = _valid_correlate(buf, taps, scratch)
+            np.multiply(h ** (d / 2.0), g, out=g)
+            out[i, col] = h ** d * _apply_nonlinearity(model, g, out=g).sum()
+    return out
 
 
 def sample_integral(model: FieldModel, b: Box, seed: int, replica: int) -> float:
@@ -163,16 +204,8 @@ def sample_integral(model: FieldModel, b: Box, seed: int, replica: int) -> float
         raise FieldModelError("box dimension does not match model dimension")
     if model.kind == "iid_block":
         return _block_integral(model, b, seed, replica)
-    h = model.grid_h
-    taps = _taps(model)
-    k = len(taps)
-    npts = _grid_points(model, b)
-    lo = tuple(-(k - 1) for _ in range(model.d))
-    hi = npts
-    noise = white_noise(seed, replica, lo, hi)
-    g = (h ** (model.d / 2.0)) * _valid_correlate(noise, taps)
-    x = _apply_nonlinearity(model, g)
-    return float(h ** model.d * x.sum())
+    return float(_grid_integrals(model, [b], seed,
+                                 range(replica, replica + 1))[0, 0])
 
 
 def _block_integral(model: FieldModel, b: Box, seed: int, replica: int) -> float:
@@ -220,6 +253,10 @@ def standard_batches(seed: int, n: int) -> Iterator[np.ndarray]:
         yield z[:min(_BATCH_CHUNK, n - pos)]
 
 
+def _batch_kind(model: FieldModel) -> bool:  # closed-form Gaussian law
+    return model.kind == "gaussian_ma" and model.nonlinearity == "identity"
+
+
 def sample_integrals(model: FieldModel, b: Box, seed: int, n_samples: int) -> np.ndarray:
     """Vectorized i.i.d. replicas of the box integral.
 
@@ -228,12 +265,12 @@ def sample_integrals(model: FieldModel, b: Box, seed: int, n_samples: int) -> np
     standard deviation times ``standard_batches(seed, n_samples)``.  That
     batch does not depend on the box: at one seed, every box gets the same
     standard normals (shared draws), so replicas across boxes are one
-    experiment scaled.  Other kinds run the full grid simulation per
-    replica.  Chunking is fixed, so results do not depend on worker count.
+    experiment scaled.  Other kinds are ``sample_box_integrals`` of the
+    one box over replicas 0 ... n_samples - 1.
     """
     if b.d != model.d:
         raise FieldModelError("box dimension does not match model dimension")
-    if model.kind == "gaussian_ma" and model.nonlinearity == "identity":
+    if _batch_kind(model):
         sd = discrete_box_std(model, b)
         out = np.empty(n_samples)
         pos = 0
@@ -241,7 +278,32 @@ def sample_integrals(model: FieldModel, b: Box, seed: int, n_samples: int) -> np
             out[pos:pos + len(z)] = sd * z
             pos += len(z)
         return out
-    return np.array([sample_integral(model, b, seed, i) for i in range(n_samples)])
+    return sample_box_integrals(model, [b], seed, range(n_samples))[0]
+
+
+REPLICA_CHUNK = 256  # replicas per unit of work when a grid pass is split
+
+
+def sample_box_integrals(model: FieldModel, boxes: list[Box], seed: int,
+                         replicas: range) -> np.ndarray:
+    """Row i: replicas ``replicas`` of ``sample_integrals(model, boxes[i], ...)``.
+
+    Grid kinds simulate each distinct box once per replica, all in one
+    pass; values depend only on (model, box, seed, replica), so any split
+    of the replicas into ranges gives the same values.
+    """
+    if any(b.d != model.d for b in boxes):
+        raise FieldModelError("box dimension does not match model dimension")
+    unique = list(dict.fromkeys(boxes))
+    if _batch_kind(model):
+        rows = [sample_integrals(model, b, seed, replicas.stop)[replicas.start:]
+                for b in unique]
+    elif model.kind == "iid_block":
+        rows = [[_block_integral(model, b, seed, i) for i in replicas]
+                for b in unique]
+    else:
+        rows = _grid_integrals(model, unique, seed, replicas)
+    return np.asarray(rows)[[unique.index(b) for b in boxes]]
 
 
 def _axis_covariance(model: FieldModel, u: float) -> float:

@@ -13,7 +13,7 @@ from boxcgf.cgf import Z95
 from boxcgf.cli import main
 from boxcgf.config import ConfigError, ExperimentConfig
 from boxcgf.experiments import RUNNERS
-from boxcgf.fields import (discrete_box_std, exact_sigma2,
+from boxcgf.fields import (REPLICA_CHUNK, discrete_box_std, exact_sigma2,
                            sample_integrals)
 from boxcgf.report import ExperimentReport
 
@@ -47,6 +47,7 @@ def test_config_validation():
         ExperimentConfig.from_dict({"model": {"d": 1, "kind": "gaussian_ma",
                                               "m": 1.0}})  # missing keys
     assert small_config(n_samples=1e5).n_samples == 100_000  # integral float
+    assert small_config(mdp_tolerance=1).mdp_tolerance == 1.0  # int is a number
 
 
 def test_config_hash_stable():
@@ -273,6 +274,18 @@ def test_workers_do_not_change_results():
     assert mdp(cfg, workers=1).to_csv() == mdp(cfg, workers=3).to_csv()
 
 
+def test_grid_path_workers_do_not_change_results():
+    cfg = small_config(
+        model={"d": 1, "kind": "bounded_nonlinear_ma", "m": 1.0,
+               "kernel": "indicator", "nonlinearity": "clipped",
+               "clip_level": 1.0, "grid_h": 0.25, "amplitude": 1.0},
+        boxes=[[6.0], [20.0]], n_replicas=2500, additivity_pairs=[])
+    assert cfg.n_replicas % REPLICA_CHUNK != 0  # a short last chunk
+    for name in ("clt", "additivity"):
+        outs = {w: RUNNERS[name](cfg, workers=w).to_csv() for w in (1, 2, 4)}
+        assert outs[1] == outs[2] == outs[4], f"{name} differs across workers"
+
+
 def test_report_pass_semantics():
     rep = ExperimentReport(name="t", columns=["a", "pass", "flagged"])
     rep.add_row(a=1, **{"pass": True})
@@ -349,6 +362,17 @@ def test_cli_bad_config_is_exit_2(tmp_path):
     ({"n_replicas": False}, "n_replicas must be an integer"),
     ({"mdp_importance_sampling": "false"},
      "mdp_importance_sampling must be true or false, got 'false'"),
+    ({"mdp_tolerance": True}, "mdp_tolerance must be a number, got True"),
+    ({"c_grid": ["2", True]}, "c_grid must be a number, got '2'"),
+    ({"c_grid": [2.0, True]}, "c_grid must be a number, got True"),
+    ({"audit_base_scale": "8"}, "audit_base_scale must be a number, got '8'"),
+    ({"boxes": [[200.0], ["1000"]]}, "box sides must be a number, got '1000'"),
+    ({"mu_grid": [0.5, None]}, "mu_grid must be a number, got None"),
+    ({"lrp_lambda_bound": "0.5"}, "lrp_lambda_bound must be a number"),
+    ({"lrp_tolerance": False}, "lrp_tolerance must be a number, got False"),
+    ({"additivity_pairs": [[100.0, True]]},
+     "additivity_pairs must be a number, got True"),
+    ({"additivity_rest": ["1"]}, "additivity_rest must be a number, got '1'"),
 ])
 def test_cli_malformed_config_is_exit_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"

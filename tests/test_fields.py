@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from boxcgf import fields
 from boxcgf.boxes import box
 from boxcgf.cgf import exact_cgf
 from boxcgf.fields import (FieldModel, FieldModelError, NoClosedFormError,
-                           _taps, _valid_correlate, discrete_box_std,
-                           discrete_box_variance, exact_box_variance,
-                           exact_sigma2, kernel_weight, sample_integral,
+                           _grid_points, _taps, _valid_correlate,
+                           discrete_box_std, discrete_box_variance,
+                           exact_box_variance, exact_sigma2, kernel_weight,
+                           sample_box_integrals, sample_integral,
                            sample_integrals, standard_batches, white_noise)
 
 GAUSS1 = FieldModel(d=1, kind="gaussian_ma", m=1.0)
@@ -175,6 +177,71 @@ def test_valid_correlate_matches_per_line_convolve(d, kernel, n_taps):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _fresh_integral(model, b, seed, replica):
+    # reference: the box's own noise, per-line correlation and fresh arrays
+    taps = _taps(model)
+    lo = (1 - len(taps),) * model.d
+    noise = white_noise(seed, replica, lo, _grid_points(model, b))
+    g = (model.grid_h ** (model.d / 2.0)) * _per_line_correlate(noise, taps)
+    if model.nonlinearity == "clipped":
+        g = np.clip(g, -model.clip_level, model.clip_level)
+    return float(model.grid_h ** model.d * g.sum())
+
+
+CLIPPED1 = FieldModel(d=1, kind="bounded_nonlinear_ma", m=1.0,
+                      nonlinearity="clipped")
+GRID3 = FieldModel(d=3, kind="bounded_nonlinear_ma", m=1.0)
+
+
+@pytest.mark.parametrize("model, boxes, replicas", [
+    # a duplicated box, and a box narrower than one 4096-cell tile
+    (CLIPPED1, [box(2000.0), box(30.0), box(2000.0)], range(3)),
+    (GRID3, [box(8.0, 8.0, 8.0), box(10.0, 8.0, 6.0)], range(2)),
+    # non-nested boxes: neither one's tiles contain the other's
+    (dataclasses.replace(CLIPPED1, d=2, clip_level=0.5),
+     [box(40.0, 2.0), box(2.0, 40.0)], range(3)),
+    (CLIPPED1, [box(30.0), box(1500.0)], range(7, 11)),
+])
+def test_sample_box_integrals_match_per_replica_integrals(model, boxes,
+                                                          replicas):
+    got = sample_box_integrals(model, boxes, 19, replicas)
+    assert got.shape == (len(boxes), len(replicas))
+    for row, b in zip(got, boxes):
+        assert [float(x) for x in row] == [
+            sample_integral(model, b, 19, i) for i in replicas]
+        assert [float(x) for x in row] == [
+            _fresh_integral(model, b, 19, i) for i in replicas]
+
+
+def test_sample_box_integrals_draw_each_tile_once_per_replica(monkeypatch):
+    calls = []
+    draw = fields._tile_noise
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(fields, "_tile_noise", counted)
+    cube, slab = box(8.0, 8.0, 8.0), box(10.0, 8.0, 6.0)
+    for b, tiles in ((cube, 27), (slab, 36)):  # 63 draws when sampled apart
+        calls.clear()
+        sample_box_integrals(GRID3, [b], 5, range(1))
+        assert len(calls) == tiles
+    calls.clear()
+    sample_box_integrals(GRID3, [cube, slab], 5, range(3))
+    assert len(calls) == 3 * 36 and len(set(calls)) == len(calls)
+
+
+def test_sample_integrals_is_the_one_box_pass():
+    b = box(40.0)
+    np.testing.assert_array_equal(
+        sample_integrals(CLIPPED1, b, 4, 5),
+        sample_box_integrals(CLIPPED1, [b], 4, range(5))[0])
+    np.testing.assert_array_equal(
+        sample_box_integrals(GAUSS1, [b, box(10.0)], 4, range(3, 7)),
+        [sample_integrals(GAUSS1, bb, 4, 7)[3:] for bb in (b, box(10.0))])
+
+
 @pytest.mark.parametrize("d, sides", [(2, (8.0, 6.0)), (3, (4.0, 4.0, 3.0))])
 def test_grid_gaussian_field_variance(d, sides):
     # the grid path of an unclipped field is exactly Gaussian with the
@@ -234,3 +301,5 @@ def test_dimension_mismatch_rejected():
         sample_integral(GAUSS1, box(2.0, 2.0), 0, 0)
     with pytest.raises(FieldModelError):
         sample_integrals(GAUSS1, box(2.0, 2.0), 0, 10)
+    with pytest.raises(FieldModelError):
+        sample_box_integrals(CLIPPED1, [box(2.0), box(2.0, 2.0)], 0, range(2))
