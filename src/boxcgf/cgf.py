@@ -102,13 +102,13 @@ def log_mean_exp(a: np.ndarray) -> tuple[float, float, float]:
 
 
 def estimate_cgf(model: FieldModel, b: Box, lambdas, n_samples: int,
-                 seed: int) -> CgfEstimate:
+                 seed: int, workers: int = 1) -> CgfEstimate:
     if n_samples < 1000:
         raise CgfError("need at least 1e3 samples")
     lam = np.asarray(lambdas, dtype=float)
     if not np.all(np.isfinite(lam)):
         raise CgfError("lambda grid must be finite")
-    samples = sample_integrals(model, b, seed, n_samples)
+    samples = sample_integrals(model, b, seed, n_samples, workers)
     y = samples / math.sqrt(vol(b))
     f = np.empty(lam.shape)
     ci = np.empty(lam.shape)

@@ -2,9 +2,8 @@
 
 Usage: boxcgf <subcommand> --config cfg.json [--out DIR] [--seed N]
 [--workers N] [--format csv|json].  Exit code is 0 iff every non-flagged
-row passes.  The worker count sets how many units of work run at once:
-a subcommand's rows, and for clt also fixed-size chunks of replicas.  It
-never changes any output byte.
+row passes.  The worker count sets how many threads the sampler runs over
+fixed-size chunks of replicas.  It never changes any output byte.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed (u64)")
         p.add_argument("--workers", type=int, default=1,
-                       help="threads over rows, and over replica chunks "
-                            "for clt (never affects results)")
+                       help="threads over the sampler's replica chunks "
+                            "(never affects results)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 

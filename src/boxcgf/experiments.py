@@ -8,55 +8,46 @@ the rows in unit order.  The units are the config's boxes, except for
 additivity (its pairs), audit (boxes with their base envelopes), mdp
 (boxes with their shared-batch hits), clt (boxes with their replicas,
 sampled in one pass over all boxes) and calibrate (one unit: the box
-family).  Replica streams are counter-based and chunked at fixed size, so
-the worker count never changes any output.
+family).  Units and rows are built one after another; ``workers`` only
+sets the threads of the sampler (``fields.sample_box_integrals``), whose
+replica streams are counter-based and chunked at fixed size, so the
+worker count never changes any output.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 from scipy.stats import kstest, norm
 
 from .boxes import Box, halve_n, normalize_to_scale, vol, width
-from .cgf import (Z95, CgfError, QuadEnvelope, delta_cap, estimate_cgf,
+from .cgf import (Z95, CgfError, CgfEstimate, delta_cap, estimate_cgf,
                   exact_cgf, lambda_grid, log_mean_exp, quad_envelope)
 from .config import ExperimentConfig
 from .engine import (CertificateError, calibrate_c1, iterate_quadratic_lower,
                      iterate_quadratic_upper, ladder_descent)
-from .fields import (REPLICA_CHUNK, discrete_box_std, exact_box_variance,
-                     exact_sigma2, sample_box_integrals, sample_integrals,
+from .fields import (discrete_box_std, exact_box_variance, exact_sigma2,
+                     is_gaussian, sample_box_integrals, sample_integrals,
                      standard_batches)
 from .report import ExperimentReport
-
-
-def _map_ordered(fn, items, workers: int):
-    """Order-preserving map; workers > 1 only changes wall time, not output."""
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _runner(name: str, columns: list[str], rows,
             units=lambda cfg, workers: cfg.boxes):
     """The subcommand ``name`` as ``run(cfg, workers=1) -> ExperimentReport``.
 
-    ``units(cfg, workers)`` lists the units of work and ``rows(cfg, unit)``
-    turns one unit into rows, ``workers`` units at a time; the rows are
-    added in unit order.  A row's ``error`` entry is run metadata, not a
-    column: it moves to ``metadata["error"]``.
+    ``units(cfg, workers)`` lists the units of work and
+    ``rows(cfg, unit, workers)`` turns one unit into rows, unit after unit;
+    both pass ``workers`` on to the sampler's threads.  A row's ``error``
+    entry is run metadata, not a column: it moves to ``metadata["error"]``.
     """
     def run(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
         started = time.time()
         rep = ExperimentReport(name=name, columns=columns)
-        for unit_rows in _map_ordered(partial(rows, cfg), units(cfg, workers),
-                                      workers):
-            for row in unit_rows:
+        for unit in units(cfg, workers):
+            for row in rows(cfg, unit, workers):
                 if "error" in row:
                     rep.metadata["error"] = row.pop("error")
                 rep.add_row(**row)
@@ -64,11 +55,6 @@ def _runner(name: str, columns: list[str], rows,
         return rep
 
     return run
-
-
-def _is_gaussian(cfg: ExperimentConfig) -> bool:
-    return (cfg.model.kind == "gaussian_ma"
-            and cfg.model.nonlinearity == "identity")
 
 
 def _variance_ci(y: np.ndarray) -> tuple[float, float]:
@@ -85,13 +71,13 @@ def _variance_ci(y: np.ndarray) -> tuple[float, float]:
     return v, Z95 * se
 
 
-def _lrp_rows(cfg: ExperimentConfig, b: Box) -> list[dict]:
+def _lrp_rows(cfg: ExperimentConfig, b: Box, workers: int) -> list[dict]:
     """Quadratic log-asymptotics: f_B(mu)/mu^2 against sigma^2/2."""
     model = cfg.model
-    gaussian = _is_gaussian(cfg)
+    gaussian = is_gaussian(model)
     d = model.d
     v = vol(b)
-    samples = sample_integrals(model, b, cfg.seed, cfg.n_samples)
+    samples = sample_integrals(model, b, cfg.seed, cfg.n_samples, workers)
     y = samples / math.sqrt(v)
     if gaussian:
         ref = 0.5 * exact_sigma2(model)
@@ -185,7 +171,7 @@ def _mdp_levels(cfg: ExperimentConfig, b: Box,
                 samples: np.ndarray | None = None) -> list[tuple]:
     """(c, threshold, reference) for every c of the grid."""
     v = vol(b)
-    if _is_gaussian(cfg):
+    if is_gaussian(cfg.model):
         sigma = math.sqrt(exact_sigma2(cfg.model))
         sigma_r = math.sqrt(exact_box_variance(cfg.model, b) / v)
     else:
@@ -200,15 +186,15 @@ def _mdp_levels(cfg: ExperimentConfig, b: Box,
 def _mdp_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
     """Boxes, each with its (c, reference, hits) triples when counted here.
 
-    Gaussian boxes share one standard batch (see ``sample_integrals``), so
-    their rows are one experiment scaled, not independent ones.  Direct
-    Gaussian rows count every (box, c) exceedance in a single streamed
-    pass over that batch; the pass is numpy-bound and single-threaded, so
-    ``workers`` does not act on it.  Importance-sampling and non-Gaussian
-    boxes carry None: their rows sample the box with ``sample_integrals``,
-    ``workers`` boxes at a time.
+    Gaussian boxes share one standard batch (see
+    ``sample_box_integrals``), so their rows are one experiment scaled, not
+    independent ones.  Direct Gaussian rows count every (box, c)
+    exceedance in a single streamed pass over that batch; the pass is
+    numpy-bound and single-threaded, so ``workers`` does not act on it.
+    Importance-sampling and non-Gaussian boxes carry None: their rows
+    sample the box with ``sample_integrals`` on ``workers`` threads.
     """
-    if not _is_gaussian(cfg) or cfg.mdp_importance_sampling:
+    if not is_gaussian(cfg.model) or cfg.mdp_importance_sampling:
         return [(b, None) for b in cfg.boxes]
     levels = [_mdp_levels(cfg, b) for b in cfg.boxes]
     hits = _shared_batch_hits(cfg.model, cfg.boxes,
@@ -218,13 +204,13 @@ def _mdp_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
             for b, lv, box_hits in zip(cfg.boxes, levels, hits)]
 
 
-def _mdp_rows(cfg: ExperimentConfig, unit: tuple) -> list[dict]:
+def _mdp_rows(cfg: ExperimentConfig, unit: tuple, workers: int) -> list[dict]:
     """Normalized log tail probabilities against the normal oracle."""
     b, counted = unit
     model, n = cfg.model, cfg.n_samples
     if counted is None:
-        samples = sample_integrals(model, b, cfg.seed, n)
-        if _is_gaussian(cfg):  # reached with importance sampling on
+        samples = sample_integrals(model, b, cfg.seed, n, workers)
+        if is_gaussian(model):  # reached with importance sampling on
             return [_mdp_importance_row(model, b, samples, threshold, c, ref,
                                         cfg.mdp_tolerance)
                     for c, threshold, ref in _mdp_levels(cfg, b)]
@@ -252,27 +238,20 @@ def _mdp_rows(cfg: ExperimentConfig, unit: tuple) -> list[dict]:
 
 
 def _clt_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
-    """Boxes with their replicas, sampled in one pass over all boxes.
-
-    The pass runs in chunks of ``REPLICA_CHUNK`` replicas, ``workers``
-    at a time; a Gaussian batch is drawn whole, as one chunk.
-    """
-    n = cfg.n_replicas
-    step = n if _is_gaussian(cfg) else REPLICA_CHUNK
-    chunks = [range(i, min(i + step, n)) for i in range(0, n, step)]
-    samples = _map_ordered(partial(sample_box_integrals, cfg.model, cfg.boxes,
-                                   cfg.seed), chunks, workers)
-    return list(zip(cfg.boxes, np.concatenate(samples, axis=1)))
+    """Boxes with their replicas, sampled in one pass over all boxes."""
+    samples = sample_box_integrals(cfg.model, cfg.boxes, cfg.seed,
+                                   range(cfg.n_replicas), workers)
+    return list(zip(cfg.boxes, samples))
 
 
-def _clt_rows(cfg: ExperimentConfig, unit: tuple) -> list[dict]:
+def _clt_rows(cfg: ExperimentConfig, unit: tuple, workers: int) -> list[dict]:
     """KS goodness of fit of vol^(-1/2) * integral against N(0, sigma^2)."""
     b, samples = unit
     model = cfg.model
     v = vol(b)
     y = samples / math.sqrt(v)
     sigma2_hat = float(y.var(ddof=1))
-    if _is_gaussian(cfg):
+    if is_gaussian(model):
         sigma2_ref = exact_box_variance(model, b) / v
     else:
         sigma2_ref = sigma2_hat
@@ -293,8 +272,8 @@ def _additivity_pairs(cfg: ExperimentConfig, workers: int) -> list[tuple]:
             or [(b.sides[0], b.sides[0]) for b in cfg.boxes])
 
 
-def _additivity_rows(cfg: ExperimentConfig,
-                     pair: tuple[float, float]) -> list[dict]:
+def _additivity_rows(cfg: ExperimentConfig, pair: tuple[float, float],
+                     workers: int) -> list[dict]:
     """Additivity of r * sigma_r^2 along the first axis."""
     model = cfg.model
     rest = cfg.additivity_rest or tuple(cfg.boxes[0].sides[1:])
@@ -307,13 +286,13 @@ def _additivity_rows(cfg: ExperimentConfig,
     r, s = pair
     boxes = [Box((x,) + rest) for x in (r, s, r + s)]
     samples = sample_box_integrals(model, boxes, cfg.seed,
-                                   range(cfg.n_replicas))
+                                   range(cfg.n_replicas), workers)
     (tr, er), (ts, es), (trs, ers) = map(weighted_var, boxes, samples)
     if trs <= 0.0:
         return [dict(d=model.d, r=r, s=s, defect_rel=0.0, reference_rel=0.0,
                      tolerance=0.0, **{"pass": True}, flagged=False)]
     defect_rel = abs(trs - tr - ts) / trs
-    if _is_gaussian(cfg):
+    if is_gaussian(model):
         def exact_weighted(rr: float) -> float:
             b = Box((rr,) + rest)
             return rr * exact_box_variance(model, b) / vol(b)
@@ -329,22 +308,21 @@ def _additivity_rows(cfg: ExperimentConfig,
                  flagged=False)]
 
 
-def _base_envelope(cfg: ExperimentConfig, base: Box) -> QuadEnvelope:
-    delta0 = delta_cap(vol(base), cfg.engine.c1, cfg.model.d)
-    if _is_gaussian(cfg):
-        est = exact_cgf(cfg.model, base, lambda_grid(delta0))
-    else:
-        est = estimate_cgf(cfg.model, base, lambda_grid(delta0),
-                           cfg.n_samples, cfg.seed)
-    return quad_envelope(est, delta0)
+def _cgf(cfg: ExperimentConfig, b: Box, delta: float,
+         workers: int) -> CgfEstimate:
+    """The box's CGF on ``lambda_grid(delta)``: exact for a Gaussian model,
+    else estimated from ``n_samples`` replicas."""
+    grid = lambda_grid(delta)
+    if is_gaussian(cfg.model):
+        return exact_cgf(cfg.model, b, grid)
+    return estimate_cgf(cfg.model, b, grid, cfg.n_samples, cfg.seed, workers)
 
 
 def _audit_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
     """(box, halvings to its base, base envelope) for every box.
 
     A box narrower than the base scale gets (box, 0, None).  Boxes
-    normalising to one base share its envelope: each base is fitted once,
-    listed in box order so the result never depends on thread timing.
+    normalising to one base share its envelope: each base is fitted once.
     """
     base_scale = cfg.audit_base_scale or 2.0 * cfg.engine.c1
 
@@ -355,14 +333,16 @@ def _audit_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
         return n, halve_n(b, n)
 
     based = [base_of(b) for b in cfg.boxes]
-    bases = list(dict.fromkeys(base for _, base in based if base is not None))
-    envelopes = dict(zip(bases, _map_ordered(partial(_base_envelope, cfg),
-                                             bases, workers)))
+    envelopes = {}
+    for base in dict.fromkeys(base for _, base in based if base is not None):
+        delta0 = delta_cap(vol(base), cfg.engine.c1, cfg.model.d)
+        envelopes[base] = quad_envelope(_cgf(cfg, base, delta0, workers),
+                                        delta0)
     return [(b, n, envelopes.get(base))
             for b, (n, base) in zip(cfg.boxes, based)]
 
 
-def _audit_rows(cfg: ExperimentConfig, unit: tuple) -> list[dict]:
+def _audit_rows(cfg: ExperimentConfig, unit: tuple, workers: int) -> list[dict]:
     """End to end: base envelope, upward iteration, descent spot check."""
     b, n, env = unit
     model, params = cfg.model, cfg.engine
@@ -380,15 +360,18 @@ def _audit_rows(cfg: ExperimentConfig, unit: tuple) -> list[dict]:
     except CertificateError as exc:
         return failed(str(exc))
     note, annihilated = "", False
-    try:
-        lower = iterate_quadratic_lower(env.L, env.delta, b, n, params).L
-    except CertificateError as exc:
-        lower, note, annihilated = 0.0, str(exc), True
+    if env.L == 0.0:  # nothing to climb: 0 is a sound lower bound
+        lower, note = 0.0, "base lower envelope is 0"
+    else:
+        try:
+            lower = iterate_quadratic_lower(env.L, env.delta, b, n, params).L
+        except CertificateError as exc:
+            lower, note, annihilated = 0.0, str(exc), True
     v = vol(b)
-    if _is_gaussian(cfg):
+    if is_gaussian(model):
         reference = 0.5 * exact_box_variance(model, b) / v
     else:
-        samples = sample_integrals(model, b, cfg.seed, cfg.n_replicas)
+        samples = sample_integrals(model, b, cfg.seed, cfg.n_replicas, workers)
         reference = float((samples / math.sqrt(v)).var(ddof=1)) / 2.0
     sound = lower <= reference * (1 + 1e-9) and upper >= reference * (1 - 1e-9)
     lam_probe = 0.5 * math.sqrt(v) / (params.c3 * math.log(v) ** model.d)
@@ -405,19 +388,13 @@ def _audit_rows(cfg: ExperimentConfig, unit: tuple) -> list[dict]:
                  note=note, flagged=annihilated)]
 
 
-def _calibrate_rows(cfg: ExperimentConfig, boxes: list[Box]) -> list[dict]:
+def _calibrate_rows(cfg: ExperimentConfig, boxes: list[Box],
+                    workers: int) -> list[dict]:
     """Empirical calibration of the single-step drift constant."""
-    model = cfg.model
-
-    def oracle_for(b: Box):
-        grid = lambda_grid(delta_cap(vol(b), 1.0, model.d))
-        if _is_gaussian(cfg):
-            return exact_cgf(model, b, grid)
-        return estimate_cgf(model, b, grid, cfg.n_samples, cfg.seed)
-
     try:
-        c1, checks = calibrate_c1(oracle_for, boxes, cfg.engine,
-                                  seed=cfg.seed)
+        c1, checks = calibrate_c1(
+            lambda b: _cgf(cfg, b, delta_cap(vol(b), 1.0, cfg.model.d),
+                           workers), boxes, cfg.engine, seed=cfg.seed)
     except (CertificateError, CgfError) as exc:
         return [dict(c1=float("nan"), n_checks=0, n_admissible=0, n_failed=0,
                      **{"pass": False}, flagged=False, error=str(exc))]

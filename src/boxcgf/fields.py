@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from concurrent import futures
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -253,57 +255,60 @@ def standard_batches(seed: int, n: int) -> Iterator[np.ndarray]:
         yield z[:min(_BATCH_CHUNK, n - pos)]
 
 
-def _batch_kind(model: FieldModel) -> bool:  # closed-form Gaussian law
+def is_gaussian(model: FieldModel) -> bool:
+    """Whether the discretized box integral has a closed-form normal law."""
     return model.kind == "gaussian_ma" and model.nonlinearity == "identity"
 
 
-def sample_integrals(model: FieldModel, b: Box, seed: int, n_samples: int) -> np.ndarray:
-    """Vectorized i.i.d. replicas of the box integral.
-
-    For Gaussian moving averages the discretized integral is exactly
-    normal with the closed-form variance, so replicas are the box's
-    standard deviation times ``standard_batches(seed, n_samples)``.  That
-    batch does not depend on the box: at one seed, every box gets the same
-    standard normals (shared draws), so replicas across boxes are one
-    experiment scaled.  Other kinds are ``sample_box_integrals`` of the
-    one box over replicas 0 ... n_samples - 1.
-    """
-    if b.d != model.d:
-        raise FieldModelError("box dimension does not match model dimension")
-    if _batch_kind(model):
-        sd = discrete_box_std(model, b)
-        out = np.empty(n_samples)
-        pos = 0
-        for z in standard_batches(seed, n_samples):
-            out[pos:pos + len(z)] = sd * z
-            pos += len(z)
-        return out
-    return sample_box_integrals(model, [b], seed, range(n_samples))[0]
+def sample_integrals(model: FieldModel, b: Box, seed: int, n_samples: int,
+                     workers: int = 1) -> np.ndarray:
+    """Replicas 0 ... n_samples - 1 of the box integral: the one-box
+    ``sample_box_integrals``."""
+    return sample_box_integrals(model, [b], seed, range(n_samples), workers)[0]
 
 
-REPLICA_CHUNK = 256  # replicas per unit of work when a grid pass is split
+REPLICA_CHUNK = 256  # replicas per unit of work of a grid or block pass
+
+
+def _replica_pass(model: FieldModel, boxes: list[Box], seed: int,
+                  replicas: range) -> np.ndarray:
+    if model.kind == "iid_block":
+        return np.array([[_block_integral(model, b, seed, i) for i in replicas]
+                         for b in boxes])
+    return _grid_integrals(model, boxes, seed, replicas)
 
 
 def sample_box_integrals(model: FieldModel, boxes: list[Box], seed: int,
-                         replicas: range) -> np.ndarray:
-    """Row i: replicas ``replicas`` of ``sample_integrals(model, boxes[i], ...)``.
+                         replicas: range, workers: int = 1) -> np.ndarray:
+    """Row i: replicas ``replicas`` of the integral over ``boxes[i]``.
 
-    Grid kinds simulate each distinct box once per replica, all in one
-    pass; values depend only on (model, box, seed, replica), so any split
-    of the replicas into ranges gives the same values.
+    For Gaussian moving averages the discretized integral is exactly
+    normal with the closed-form variance, so a row is the box's standard
+    deviation times ``standard_batches(seed, replicas.stop)``, cut to the
+    range.  That batch is drawn once and does not depend on the box: at
+    one seed, every box gets the same standard normals, so rows across
+    boxes are one experiment scaled.  Other kinds simulate each distinct
+    box once per replica, in chunks of ``REPLICA_CHUNK`` replicas run on
+    ``workers`` threads.  Values depend only on (model, box, seed,
+    replica), so neither the range nor ``workers`` changes any of them.
     """
     if any(b.d != model.d for b in boxes):
         raise FieldModelError("box dimension does not match model dimension")
+    if is_gaussian(model):
+        sds = np.array([[discrete_box_std(model, b)] for b in boxes])
+        out = np.empty((len(boxes), replicas.stop))
+        for pos, z in zip(range(0, replicas.stop, _BATCH_CHUNK),
+                          standard_batches(seed, replicas.stop)):
+            np.multiply(sds, z, out=out[:, pos:pos + len(z)])
+        return out[:, replicas.start:]
     unique = list(dict.fromkeys(boxes))
-    if _batch_kind(model):
-        rows = [sample_integrals(model, b, seed, replicas.stop)[replicas.start:]
-                for b in unique]
-    elif model.kind == "iid_block":
-        rows = [[_block_integral(model, b, seed, i) for i in replicas]
-                for b in unique]
-    else:
-        rows = _grid_integrals(model, unique, seed, replicas)
-    return np.asarray(rows)[[unique.index(b) for b in boxes]]
+    chunks = [replicas[i:i + REPLICA_CHUNK]
+              for i in range(0, len(replicas), REPLICA_CHUNK)] or [replicas]
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        run = pool.map if workers > 1 else map  # threads start on first submit
+        rows = np.concatenate(list(run(
+            partial(_replica_pass, model, unique, seed), chunks)), axis=1)
+    return rows[[unique.index(b) for b in boxes]]
 
 
 def _axis_covariance(model: FieldModel, u: float) -> float:

@@ -147,7 +147,8 @@ def test_mdp_shared_batch_pass_matches_per_box_counts(n_samples, monkeypatch):
     def per_box_sampling(*args):
         raise AssertionError("direct Gaussian rows sampled a box")
 
-    monkeypatch.setattr(experiments, "sample_integrals", per_box_sampling)
+    for sampler in ("sample_integrals", "sample_box_integrals"):
+        monkeypatch.setattr(experiments, sampler, per_box_sampling)
     rep = RUNNERS["mdp"](cfg, workers=2)
     got = [(r["hits"], r["value"], r["ci"], r["method"]) for r in rep.rows]
     assert repr(got) == repr(expect)
@@ -243,6 +244,20 @@ def test_audit_estimates_shared_base_once(monkeypatch):
     assert rep.to_csv().splitlines()[1:] == [s.splitlines()[1] for s in single]
 
 
+def test_audit_zero_base_lower_envelope_is_not_annihilation():
+    # the estimated envelope of the base box [8.0] has L clamped to 0: the
+    # lower bound is 0 without a climb, and the upper bound gets a verdict
+    cfg = small_config(model={"d": 1, "kind": "bounded_nonlinear_ma", "m": 1.0,
+                              "nonlinearity": "clipped"},
+                       boxes=[[256.0], [1024.0]], n_samples=2000,
+                       n_replicas=200, seed=0)
+    rep = RUNNERS["audit"](cfg)
+    for row in rep.rows:
+        assert row["lower"] == 0.0 and row["note"] == "base lower envelope is 0"
+        assert not row["flagged"] and row["upper"] >= row["reference"]
+    assert rep.all_pass
+
+
 def test_calibrate_reports_c1():
     rep = RUNNERS["calibrate"](small_config(boxes=[[64.0], [256.0]]))
     (row,) = rep.rows
@@ -279,9 +294,11 @@ def test_grid_path_workers_do_not_change_results():
         model={"d": 1, "kind": "bounded_nonlinear_ma", "m": 1.0,
                "kernel": "indicator", "nonlinearity": "clipped",
                "clip_level": 1.0, "grid_h": 0.25, "amplitude": 1.0},
-        boxes=[[6.0], [20.0]], n_replicas=2500, additivity_pairs=[])
-    assert cfg.n_replicas % REPLICA_CHUNK != 0  # a short last chunk
-    for name in ("clt", "additivity"):
+        boxes=[[6.0], [20.0]], n_samples=1000, n_replicas=2500,
+        additivity_pairs=[])
+    # a short last chunk; the audit estimates the base of box 20
+    assert cfg.n_samples % REPLICA_CHUNK and cfg.n_replicas % REPLICA_CHUNK
+    for name in ("lrp", "mdp", "audit", "clt", "additivity"):
         outs = {w: RUNNERS[name](cfg, workers=w).to_csv() for w in (1, 2, 4)}
         assert outs[1] == outs[2] == outs[4], f"{name} differs across workers"
 

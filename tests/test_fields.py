@@ -230,6 +230,11 @@ def test_sample_box_integrals_draw_each_tile_once_per_replica(monkeypatch):
     calls.clear()
     sample_box_integrals(GRID3, [cube, slab], 5, range(3))
     assert len(calls) == 3 * 36 and len(set(calls)) == len(calls)
+    # Gaussian boxes scale one batch: 4 chunks of 2^16, not 4 per box
+    calls.clear()
+    sample_box_integrals(GAUSS1, [box(10.0), box(200.0), box(50.0)], 5,
+                         range(200_000))
+    assert len(calls) == 4
 
 
 def test_sample_integrals_is_the_one_box_pass():
@@ -237,9 +242,10 @@ def test_sample_integrals_is_the_one_box_pass():
     np.testing.assert_array_equal(
         sample_integrals(CLIPPED1, b, 4, 5),
         sample_box_integrals(CLIPPED1, [b], 4, range(5))[0])
+    z = np.concatenate(list(standard_batches(4, 7)))[3:]
     np.testing.assert_array_equal(
         sample_box_integrals(GAUSS1, [b, box(10.0)], 4, range(3, 7)),
-        [sample_integrals(GAUSS1, bb, 4, 7)[3:] for bb in (b, box(10.0))])
+        [discrete_box_std(GAUSS1, bb) * z for bb in (b, box(10.0))])
 
 
 @pytest.mark.parametrize("d, sides", [(2, (8.0, 6.0)), (3, (4.0, 4.0, 3.0))])
