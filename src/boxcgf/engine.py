@@ -2,9 +2,12 @@
 
 Single halving steps transform a quadratic envelope at B/2 into one at B
 with an explicit coefficient drift x = sqrt(C1 / R(vol B)); iterating the
-step climbs a dyadic ladder of boxes.  The downward "slope" route
-transports f(lam)/(|lam| sqrt(vol)) instead, choosing the number of
-levels and the lambda chain from the volume and the target lambda.
+step climbs a dyadic ladder of boxes.  One loop does the climbing: the
+iterate functions keep its top, and the multi-step schedule is the
+recorded climb with radii from the M_k caps and a geometric tail, plus
+the lemma's side conditions.  The downward "slope" route transports
+f(lam)/(|lam| sqrt(vol)) instead, choosing the number of levels and the
+lambda chain from the volume and the target lambda.
 
 Every asymptotic side condition the calculus needs "for large enough
 scale" is evaluated numerically and reported with its measured slack; the
@@ -61,9 +64,6 @@ class SideCondition:
     name: str
     ok: bool
     slack: float  # >= 0 means satisfied by this margin
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "slack": self.slack}
 
 
 @dataclass
@@ -170,10 +170,9 @@ def step_up(u: float, delta: float, b: Box, params: EngineParams) -> StepResult:
         raise CertificateError("width below C1: halving step unavailable")
     if u <= 0.0 or delta <= 0.0:
         raise CertificateError("need u > 0 and delta > 0")
-    v = vol(b)
     x = drift(b, params)
     p = (u + x) / u
-    cap = (p - 1.0) / p * math.sqrt(v) / (params.c1 * _log_sd(v, params.d))
+    cap = admissible_lambda_cap(b, params, p, "up")
     return StepResult(u_out=u + x, delta_out=min(SQRT2 * delta / p, cap), p=p, x=x)
 
 
@@ -183,12 +182,11 @@ def step_down(u: float, delta: float, b: Box, params: EngineParams) -> StepResul
         raise CertificateError("width below C1: halving step unavailable")
     if delta <= 0.0:
         raise CertificateError("need delta > 0")
-    v = vol(b)
     x = drift(b, params)
     if u <= x:
         raise CertificateError("lower envelope annihilated")
     p = u / (u - x)
-    cap = (p - 1.0) * math.sqrt(v) / (params.c1 * _log_sd(v, params.d))
+    cap = admissible_lambda_cap(b, params, p, "down")
     return StepResult(u_out=u - x, delta_out=min(p * delta * SQRT2, cap), p=p, x=x)
 
 
@@ -220,33 +218,52 @@ def slope_step(lam: float, mu: float, b: Box, params: EngineParams,
 
 
 def _climb(a: float, delta: float, b: Box, n: int, params: EngineParams,
-           step) -> tuple[float, float]:
-    """Apply ``step`` from B/2^n up to B: (coefficient, radius) at B."""
+           step) -> tuple[list[StepResult], str | None]:
+    """Apply ``step`` from B/2^n up to B, recording one result per level.
+
+    The list starts with the identity step (p = 1, x = 0) at B/2^n and
+    ends at the highest level reached.  A step that fails stops the climb:
+    the steps done so far come back with its error message, which names
+    the level.
+    """
     if a <= 0.0 or delta <= 0.0:
         raise CertificateError("need a > 0 and delta > 0")
     if n >= 1 and width(halve_n(b, n - 1)) < params.c1:
         raise CertificateError(f"width below C1 after {n - 1} halvings")
     u, dl = math.sqrt(a), delta
+    steps = [StepResult(u_out=u, delta_out=dl, p=1.0, x=0.0)]
     for k in range(n - 1, -1, -1):
         try:
             res = step(u, dl, halve_n(b, k), params)
         except CertificateError as exc:
-            raise CertificateError(f"{exc} at level {k + 1}") from exc
+            return steps, f"{exc} at level {k + 1}"
+        steps.append(res)
         u, dl = res.u_out, res.delta_out
-    return u * u, dl
+    return steps, None
+
+
+def _top(a: float, delta: float, b: Box, n: int, params: EngineParams,
+         step) -> tuple[float, float]:
+    """(coefficient, radius) at B after n levels of ``step``; raises if the
+    climb stops short."""
+    steps, err = _climb(a, delta, b, n, params, step)
+    if err is not None:
+        raise CertificateError(err)
+    top = steps[-1]
+    return top.u_out * top.u_out, top.delta_out
 
 
 def iterate_quadratic_upper(a: float, delta: float, b: Box, n: int,
                             params: EngineParams) -> QuadEnvelope:
     """Climb n levels: envelope a*lam^2 at B/2^n becomes U*lam^2 at B."""
-    upper, dl = _climb(a, delta, b, n, params, step_up)
+    upper, dl = _top(a, delta, b, n, params, step_up)
     return QuadEnvelope(b, L=0.0, U=upper, delta=dl)
 
 
 def iterate_quadratic_lower(a: float, delta: float, b: Box, n: int,
                             params: EngineParams) -> QuadEnvelope:
     """Climb n levels for the lower coefficient; may report annihilation."""
-    lower, dl = _climb(a, delta, b, n, params, step_down)
+    lower, dl = _top(a, delta, b, n, params, step_down)
     return QuadEnvelope(b, L=lower, U=math.inf, delta=dl)
 
 
@@ -257,51 +274,45 @@ def _geom_tail(d: int) -> float:
 
 
 def envelope_schedule(a: float, delta: float, b: Box, n: int,
-                      params: EngineParams, direction: str = "up",
-                      split: int | None = None) -> Schedule:
-    """Materialize the full multi-step schedule with all side conditions.
+                      params: EngineParams, direction: str = "up") -> Schedule:
+    """Record the climb from B/2^n to B with all side conditions.
 
-    The coefficients follow sqrt(a_k) = sqrt(a) +- x_n * sum_{i<=n-k} 2^(-i/(2d));
-    radii switch from the volume-driven caps M_k to a geometric tail at the
-    split point.  The split has no closed form; it defaults to the smallest
-    value making its own conditions hold, and every condition is reported
-    with slack either way.  Failures are reported, never raised.
+    a_seq, p_seq and x_seq are the steps of the climb that
+    ``iterate_quadratic_upper``/``_lower`` run, so sqrt(a_k) =
+    sqrt(a) +- sum_{j>=k} x_j with x_k = x_n 2^(-(n-k)/(2d)).  Radii
+    follow the volume-driven caps M_k up to the split point and a
+    geometric tail after it; the split has no closed form and is the
+    smallest value making its own conditions hold.  Every condition is
+    reported with its slack.  Failures are reported, never raised: where
+    a down-climb is annihilated, a_seq holds nan and p_seq inf at that
+    level and every level above it up to B, and x_seq their drifts.  A
+    climb that cannot start raises CertificateError, as the iterate
+    functions do: a or delta not positive, or B/2^(n-1) narrower than C1.
     """
     if direction not in ("up", "down"):
         raise CertificateError(f"unknown direction {direction!r}")
     d = params.d
-    sign = 1.0 if direction == "up" else -1.0
+    steps, _ = _climb(a, delta, b, n, params,
+                      step_up if direction == "up" else step_down)
+    lost = n + 1 - len(steps)  # levels 0..lost-1 were not reached
+    reached = steps[::-1]      # reached[i] is level lost + i
+    a_seq = [math.nan] * lost + [s.u_out * s.u_out for s in reached]
+    p_seq = [math.inf] * lost + [s.p for s in reached[:n - lost]]
+    x_seq = ([drift(halve_n(b, k), params) for k in range(lost)]
+             + [s.x for s in reached[:n - lost]])
+
     vols = [vol(b) / 2.0 ** k for k in range(n + 1)]
-    x_n = math.sqrt(params.c1 / iso_length(vols[n], d))
-    x_seq = [x_n * 2.0 ** (-(n - k) / (2.0 * d)) for k in range(n)]
-
-    sqrt_a = [0.0] * (n + 1)
-    for k in range(n + 1):
-        tail = sum(2.0 ** (-i / (2.0 * d)) for i in range(1, n - k + 1))
-        sqrt_a[k] = math.sqrt(a) + sign * x_n * tail
-    a_seq = [s * s if s > 0.0 else float("nan") for s in sqrt_a]
-
-    p_seq = []
-    for k in range(n):
-        if direction == "up":
-            p_seq.append((sqrt_a[k + 1] + x_seq[k]) / sqrt_a[k + 1])
-        else:
-            denom = sqrt_a[k + 1] - x_seq[k]
-            p_seq.append(sqrt_a[k + 1] / denom if denom > 0.0 else float("inf"))
-
     m_seq = [math.sqrt(face_scale(vk, d) / a) / (params.c1 * _log_sd(vk, d))
              for vk in vols]
 
     geom = _geom_tail(d)
-    if split is None:
-        split = n
-        for cand in range(n + 1):
-            cond1 = 2.0 ** (-(cand + 1) / (2.0 * d)) <= 2.0 ** (1.0 / (2.0 * d)) - 1.0
-            cond2 = 2.0 ** (cand / (2.0 * d)) >= math.exp(geom)
-            if cond1 and cond2:
-                split = cand
-                break
-    split = min(split, n)
+    split = n
+    for cand in range(n + 1):
+        cond1 = 2.0 ** (-(cand + 1) / (2.0 * d)) <= 2.0 ** (1.0 / (2.0 * d)) - 1.0
+        cond2 = 2.0 ** (cand / (2.0 * d)) >= math.exp(geom)
+        if cond1 and cond2:
+            split = cand
+            break
 
     delta_seq = [0.0] * (n + 1)
     for k in range(n - split + 1):
@@ -323,7 +334,7 @@ def envelope_schedule(a: float, delta: float, b: Box, n: int,
     for k in range(0, n - split):
         add(f"M_{k} <= sqrt2/p_{k} * M_{k + 1}",
             (m_seq[k], SQRT2 / p_seq[k] * m_seq[k + 1]))
-    if split >= 1 and n >= split:
+    if split >= 1:
         prod_p = math.prod(p_seq[n - split:n])
         add("tail p product <= 2^(split/2d)",
             (prod_p, 2.0 ** (split / (2.0 * d))))

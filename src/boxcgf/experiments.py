@@ -321,8 +321,10 @@ def _cgf(cfg: ExperimentConfig, b: Box, delta: float,
 def _audit_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
     """(box, halvings to its base, base envelope) for every box.
 
-    A box narrower than the base scale gets (box, 0, None).  Boxes
-    normalising to one base share its envelope: each base is fitted once.
+    Boxes normalising to one base share its envelope: each base is fitted
+    once.  Where there is no envelope, a note takes its place: a box
+    narrower than the base scale gets (box, 0, note), and every box on a
+    base whose fit raised CgfError gets the error's message.
     """
     base_scale = cfg.audit_base_scale or 2.0 * cfg.engine.c1
 
@@ -333,13 +335,15 @@ def _audit_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
         return n, halve_n(b, n)
 
     based = [base_of(b) for b in cfg.boxes]
-    envelopes = {}
+    envelopes: dict = {None: "width below base scale"}
     for base in dict.fromkeys(base for _, base in based if base is not None):
         delta0 = delta_cap(vol(base), cfg.engine.c1, cfg.model.d)
-        envelopes[base] = quad_envelope(_cgf(cfg, base, delta0, workers),
-                                        delta0)
-    return [(b, n, envelopes.get(base))
-            for b, (n, base) in zip(cfg.boxes, based)]
+        try:
+            envelopes[base] = quad_envelope(_cgf(cfg, base, delta0, workers),
+                                            delta0)
+        except CgfError as exc:
+            envelopes[base] = str(exc)
+    return [(b, n, envelopes[base]) for b, (n, base) in zip(cfg.boxes, based)]
 
 
 def _audit_rows(cfg: ExperimentConfig, unit: tuple, workers: int) -> list[dict]:
@@ -353,8 +357,8 @@ def _audit_rows(cfg: ExperimentConfig, unit: tuple, workers: int) -> list[dict]:
                      reference=nan, sound=False, ladder_ok=False,
                      **{"pass": False}, note=note, flagged=True)]
 
-    if env is None:
-        return failed("width below base scale")
+    if isinstance(env, str):
+        return failed(env)
     try:
         upper = iterate_quadratic_upper(env.U, env.delta, b, n, params).U
     except CertificateError as exc:

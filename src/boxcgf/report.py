@@ -53,20 +53,11 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        def default(o):
-            if hasattr(o, "sides"):
-                return list(o.sides)
-            if hasattr(o, "tolist"):
-                return o.tolist()
-            if hasattr(o, "as_dict"):
-                return o.as_dict()
-            return str(o)
-
         return json.dumps({
             "name": self.name,
             "metadata": self.metadata,
             "rows": self.rows,
-        }, indent=2, default=default)
+        }, indent=2)
 
     def write(self, out_dir: str | Path, fmt: str = "csv") -> Path:
         out = Path(out_dir)

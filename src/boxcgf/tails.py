@@ -9,9 +9,8 @@ are handled in natural-log space; there is no underflow path.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Callable
 
 
@@ -30,9 +29,6 @@ class TailSandwich:
         if not (self.log_lower <= self.log_upper):
             raise TailBoundError("lower bound exceeds upper bound")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
 
 @dataclass(frozen=True)
 class TiltInternals:
@@ -47,9 +43,6 @@ class TiltInternals:
     zeta_claimed_cap: float  # (16 eps + 9/x) x^2
     zeta_within_cap: bool   # diagnostic only; see zeta_discrepancy
     zeta_discrepancy: bool  # defining expression disagrees with the stated cap
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from boxcgf.boxes import box, halve, halve_n, vol
 from boxcgf.cgf import exact_cgf, lambda_grid
-from boxcgf.engine import (CertificateError, EngineParams, SQRT2,
+from boxcgf.engine import (CertificateError, EngineParams, SQRT2, _climb,
                            admissible_lambda_cap, calibrate_c1, drift,
                            envelope_schedule, iterate_quadratic_lower,
                            iterate_quadratic_upper, ladder_descent,
@@ -149,6 +149,10 @@ def test_iterate_requires_width_at_deepest_level():
     # box(8)/2^2 has width 2 < C1 = 4, so a 3-level climb is unavailable
     with pytest.raises(CertificateError):
         iterate_quadratic_upper(0.5, 0.25, box(8.0), 3, P1)
+    # the schedule records that climb, so it raises too
+    for direction in ("up", "down"):
+        with pytest.raises(CertificateError, match="width below C1"):
+            envelope_schedule(0.5, 0.25, box(8.0), 3, P1, direction)
 
 
 def test_schedule_structure():
@@ -167,6 +171,43 @@ def test_schedule_structure():
         (math.sqrt(0.5) + x_n * tail) ** 2, rel=1e-12)
     # every reported condition carries a finite slack
     assert all(math.isfinite(c.slack) for c in sched.side_conditions)
+
+
+def test_schedule_is_the_recorded_climb():
+    b, n = box(2.0 ** 16), 6
+    sched = envelope_schedule(0.5, 0.1, b, n, P1, "up")
+    steps, err = _climb(0.5, 0.1, b, n, P1, step_up)
+    assert err is None and len(steps) == n + 1
+    for k in range(n + 1):
+        s = steps[n - k]  # the step that reaches level k (B/2^k)
+        assert sched.a_seq[k] == s.u_out * s.u_out
+        if k < n:
+            assert sched.p_seq[k] == s.p and sched.x_seq[k] == s.x
+
+
+def test_schedule_reports_annihilation_where_the_climb_stops():
+    # box(1024) normalises to base 8 in 7 halvings; from the exact base
+    # coefficient the lower climb is annihilated at level 6
+    b, n = box(1024.0), 7
+    base = halve_n(b, n)
+    a = 0.5 * exact_box_variance(GAUSS1, base) / vol(base)
+    assert a == pytest.approx(0.479, abs=1e-3)
+    steps, err = _climb(a, 0.25, b, n, P1, step_down)
+    assert err == "lower envelope annihilated at level 6"
+    with pytest.raises(CertificateError, match="annihilated at level 6"):
+        iterate_quadratic_lower(a, 0.25, b, n, P1)
+    sched = envelope_schedule(a, 0.25, b, n, P1, "down")
+    lost = n + 1 - len(steps)
+    assert lost == 6
+    for k in range(lost):
+        assert math.isnan(sched.a_seq[k]) and sched.p_seq[k] == math.inf
+    for k in range(lost, n + 1):
+        s = steps[n - k]
+        assert sched.a_seq[k] == s.u_out * s.u_out
+        if k < n:
+            assert sched.p_seq[k] == s.p and sched.x_seq[k] == s.x
+    assert sched.x_seq == [drift(halve_n(b, k), P1) for k in range(n)]
+    assert not sched.all_ok
 
 
 def test_schedule_down_direction_and_failure_reporting():

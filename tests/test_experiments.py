@@ -258,6 +258,22 @@ def test_audit_zero_base_lower_envelope_is_not_annihilation():
     assert rep.all_pass
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_audit_base_fit_error_is_a_flagged_row(workers):
+    # too few samples leave the estimated CGF of the base [8, 8, 8] no grid
+    # point with a small enough interval: quad_envelope raises CgfError
+    cfg = small_config(model={"d": 3, "kind": "bounded_nonlinear_ma", "m": 1.0},
+                       boxes=[[8.0, 8.0, 8.0], [10.0, 8.0, 6.0], [16.0, 8.0, 8.0]],
+                       n_samples=1000, n_replicas=1000, seed=9)
+    rep = RUNNERS["audit"](cfg, workers=workers)
+    notes = [row["note"] for row in rep.rows]
+    assert notes == ["no informative grid points in (0, delta]",
+                     "width below base scale",
+                     "no informative grid points in (0, delta]"]
+    assert all(row["flagged"] and not row["pass"] for row in rep.rows)
+    assert rep.all_pass  # every row is flagged, so none is counted (exit 0)
+
+
 def test_calibrate_reports_c1():
     rep = RUNNERS["calibrate"](small_config(boxes=[[64.0], [256.0]]))
     (row,) = rep.rows

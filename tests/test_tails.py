@@ -101,12 +101,3 @@ def test_mills_brackets_contain_exact_tail(x):
 def test_mills_brackets_need_x_above_one():
     with pytest.raises(TailBoundError):
         log_normal_tail_brackets(0.5)
-
-
-def test_sandwich_json_round_trip():
-    import json
-    s = tail_sandwich(0.01, 100.0, 200.0, 150.0)
-    data = json.loads(s.to_json())
-    assert data["x"] == 150.0
-    t = tilt_internals(0.01, 100.0)
-    assert json.loads(t.to_json())["zeta_discrepancy"] is True
