@@ -3,7 +3,8 @@
 Usage: boxcgf <subcommand> --config cfg.json [--out DIR] [--seed N]
 [--workers N] [--format csv|json].  Exit code is 0 iff every non-flagged
 row passes.  The worker count sets how many threads the sampler runs over
-fixed-size chunks of replicas.  It never changes any output byte.
+its fixed-size chunks: grid and block replicas, and the Gaussian batch,
+mdp's tail count included.  It never changes any output byte.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed (u64)")
         p.add_argument("--workers", type=int, default=1,
-                       help="threads over the sampler's replica chunks "
+                       help="threads over the sampler's fixed-size chunks "
                             "(never affects results)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser

@@ -217,6 +217,14 @@ def slope_step(lam: float, mu: float, b: Box, params: EngineParams,
             "case_a_holds": case_a_holds, "case_b_holds": case_b_holds}
 
 
+def _halvings(b: Box, n: int) -> list[Box]:
+    """[B, B/2, ..., B/2^(n-1)], one ``halve`` per level."""
+    levels = [b]
+    for _ in range(n - 1):
+        levels.append(halve(levels[-1]))
+    return levels[:n]
+
+
 def _climb(a: float, delta: float, b: Box, n: int, params: EngineParams,
            step) -> tuple[list[StepResult], str | None]:
     """Apply ``step`` from B/2^n up to B, recording one result per level.
@@ -228,13 +236,14 @@ def _climb(a: float, delta: float, b: Box, n: int, params: EngineParams,
     """
     if a <= 0.0 or delta <= 0.0:
         raise CertificateError("need a > 0 and delta > 0")
-    if n >= 1 and width(halve_n(b, n - 1)) < params.c1:
+    levels = _halvings(b, n)
+    if levels and width(levels[-1]) < params.c1:
         raise CertificateError(f"width below C1 after {n - 1} halvings")
     u, dl = math.sqrt(a), delta
     steps = [StepResult(u_out=u, delta_out=dl, p=1.0, x=0.0)]
     for k in range(n - 1, -1, -1):
         try:
-            res = step(u, dl, halve_n(b, k), params)
+            res = step(u, dl, levels[k], params)
         except CertificateError as exc:
             return steps, f"{exc} at level {k + 1}"
         steps.append(res)
@@ -298,7 +307,7 @@ def envelope_schedule(a: float, delta: float, b: Box, n: int,
     reached = steps[::-1]      # reached[i] is level lost + i
     a_seq = [math.nan] * lost + [s.u_out * s.u_out for s in reached]
     p_seq = [math.inf] * lost + [s.p for s in reached[:n - lost]]
-    x_seq = ([drift(halve_n(b, k), params) for k in range(lost)]
+    x_seq = ([drift(bk, params) for bk in _halvings(b, lost)]
              + [s.x for s in reached[:n - lost]])
 
     vols = [vol(b) / 2.0 ** k for k in range(n + 1)]

@@ -9,9 +9,9 @@ additivity (its pairs), audit (boxes with their base envelopes), mdp
 (boxes with their shared-batch hits), clt (boxes with their replicas,
 sampled in one pass over all boxes) and calibrate (one unit: the box
 family).  Units and rows are built one after another; ``workers`` only
-sets the threads of the sampler (``fields.sample_box_integrals``), whose
-replica streams are counter-based and chunked at fixed size, so the
-worker count never changes any output.
+sets the threads of the sampler (``fields.sample_box_integrals`` and
+``fields.map_batch``), whose streams are counter-based and chunked at
+fixed size, so the worker count never changes any output.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .config import ExperimentConfig
 from .engine import (CertificateError, calibrate_c1, iterate_quadratic_lower,
                      iterate_quadratic_upper, ladder_descent)
 from .fields import (discrete_box_std, exact_box_variance, exact_sigma2,
-                     is_gaussian, sample_box_integrals, sample_integrals,
-                     standard_batches)
+                     is_gaussian, map_batch, sample_box_integrals,
+                     sample_integrals)
 from .report import ExperimentReport
 
 
@@ -149,22 +149,23 @@ def _mdp_importance_row(model, b: Box, samples: np.ndarray, threshold: float,
 
 
 def _shared_batch_hits(model, boxes: list[Box], thresholds: list[list[float]],
-                       seed: int, n: int) -> list[list[int]]:
+                       seed: int, n: int, workers: int) -> list[list[int]]:
     """hits[i][j] = #{k < n : sd_i * z_k >= thresholds[i][j]}.
 
-    z is ``standard_batches(seed, n)``, the draws every Gaussian box
-    shares, so one pass over its chunks counts every (box, threshold)
-    pair with the same products and comparisons as counting each box's
-    ``sample_integrals`` output, and no box's n samples are ever held.
+    z is the standard batch every Gaussian box shares.  One ``map_batch``
+    task per chunk counts every (box, threshold) pair with the same
+    products and comparisons as counting each box's ``sample_integrals``
+    output, so no box's n samples are ever held.
     """
     sds = [discrete_box_std(model, b) for b in boxes]
-    hits = [[0] * len(row) for row in thresholds]
-    for z in standard_batches(seed, n):
-        for sd, levels, counts in zip(sds, thresholds, hits):
-            s = sd * z
-            for j, threshold in enumerate(levels):
-                counts[j] += int(np.count_nonzero(s >= threshold))
-    return hits
+
+    def count(_, z: np.ndarray) -> list[list[int]]:
+        return [[int(np.count_nonzero(s >= t)) for t in levels]
+                for s, levels in zip((sd * z for sd in sds), thresholds)]
+
+    per_chunk = map_batch(count, seed, range(n), workers)
+    return [[sum(chunk) for chunk in zip(*box_counts)]
+            for box_counts in zip(*per_chunk)]
 
 
 def _mdp_levels(cfg: ExperimentConfig, b: Box,
@@ -189,17 +190,17 @@ def _mdp_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
     Gaussian boxes share one standard batch (see
     ``sample_box_integrals``), so their rows are one experiment scaled, not
     independent ones.  Direct Gaussian rows count every (box, c)
-    exceedance in a single streamed pass over that batch; the pass is
-    numpy-bound and single-threaded, so ``workers`` does not act on it.
-    Importance-sampling and non-Gaussian boxes carry None: their rows
-    sample the box with ``sample_integrals`` on ``workers`` threads.
+    exceedance in a single streamed pass over that batch, its chunks on
+    ``workers`` threads.  Importance-sampling and non-Gaussian boxes carry
+    None: their rows sample the box with ``sample_integrals`` on
+    ``workers`` threads.
     """
     if not is_gaussian(cfg.model) or cfg.mdp_importance_sampling:
         return [(b, None) for b in cfg.boxes]
     levels = [_mdp_levels(cfg, b) for b in cfg.boxes]
     hits = _shared_batch_hits(cfg.model, cfg.boxes,
                               [[t for _, t, _ in lv] for lv in levels],
-                              cfg.seed, cfg.n_samples)
+                              cfg.seed, cfg.n_samples, workers)
     return [(b, [(c, ref, h) for (c, _, ref), h in zip(lv, box_hits)])
             for b, lv, box_hits in zip(cfg.boxes, levels, hits)]
 

@@ -15,7 +15,6 @@ change any value.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from concurrent import futures
 from dataclasses import dataclass
 from functools import partial
@@ -243,16 +242,37 @@ def discrete_box_std(model: FieldModel, b: Box) -> float:
 _BATCH_CHUNK = 1 << 16
 
 
-def standard_batches(seed: int, n: int) -> Iterator[np.ndarray]:
-    """The first n standard normals of the batch stream, chunk by chunk.
+def _map_chunks(fn, chunks, workers: int) -> list:
+    """``[fn(c) for c in chunks]`` in chunk order, on ``workers`` threads;
+    at one worker the map runs serially and no thread starts."""
+    if workers == 1:
+        return list(map(fn, chunks))
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, chunks))
 
-    Chunk i holds draws i * 2^16 ... of one counter-based stream keyed by
-    (seed, i) alone; every chunk is drawn whole, and the last one is cut
-    to length, so the values never depend on n or on the box.
+
+def map_batch(fn, seed: int, replicas: range, workers: int = 1) -> list:
+    """``fn(col, z)`` for each batch chunk that meets ``replicas``, in
+    chunk order, on ``workers`` threads: z holds the batch's standard
+    normals at positions ``replicas[col:col + len(z)]``.
+
+    Chunk i holds draws i * 2^16 ... of a stream keyed by (seed, i) alone.
+    Each task draws its chunk whole, then cuts it, so no value depends on
+    the range and at most ``workers`` chunks are alive at once.
     """
-    for chunk_idx, pos in enumerate(range(0, n, _BATCH_CHUNK)):
+    def task(chunk_idx: int):
+        pos = chunk_idx * _BATCH_CHUNK
         z = _tile_noise(seed, chunk_idx, _BATCH_TAG, (0,), (_BATCH_CHUNK,))
-        yield z[:min(_BATCH_CHUNK, n - pos)]
+        lo, hi = max(replicas.start, pos), min(replicas.stop, pos + len(z))
+        return fn(lo - replicas.start, z[lo - pos:hi - pos])
+
+    return _map_chunks(task, range(replicas.start // _BATCH_CHUNK,
+                                   -(-replicas.stop // _BATCH_CHUNK)), workers)
+
+
+def standard_batches(seed: int, n: int) -> list[np.ndarray]:
+    """The first n standard normals of the batch stream, chunk by chunk."""
+    return map_batch(lambda col, z: z, seed, range(n))
 
 
 def is_gaussian(model: FieldModel) -> bool:
@@ -284,11 +304,12 @@ def sample_box_integrals(model: FieldModel, boxes: list[Box], seed: int,
 
     For Gaussian moving averages the discretized integral is exactly
     normal with the closed-form variance, so a row is the box's standard
-    deviation times ``standard_batches(seed, replicas.stop)``, cut to the
-    range.  That batch is drawn once and does not depend on the box: at
-    one seed, every box gets the same standard normals, so rows across
-    boxes are one experiment scaled.  Other kinds simulate each distinct
-    box once per replica, in chunks of ``REPLICA_CHUNK`` replicas run on
+    deviation times the standard batch at positions ``replicas``, filled
+    batch chunk by batch chunk through ``map_batch``.  That batch is drawn
+    once and does not depend on the box: at one seed, every box gets the
+    same standard normals, so rows across boxes are one experiment scaled.
+    Other kinds simulate each distinct box once per replica, in chunks of
+    ``REPLICA_CHUNK`` replicas.  Either way the chunks run in order on
     ``workers`` threads.  Values depend only on (model, box, seed,
     replica), so neither the range nor ``workers`` changes any of them.
     """
@@ -296,18 +317,15 @@ def sample_box_integrals(model: FieldModel, boxes: list[Box], seed: int,
         raise FieldModelError("box dimension does not match model dimension")
     if is_gaussian(model):
         sds = np.array([[discrete_box_std(model, b)] for b in boxes])
-        out = np.empty((len(boxes), replicas.stop))
-        for pos, z in zip(range(0, replicas.stop, _BATCH_CHUNK),
-                          standard_batches(seed, replicas.stop)):
-            np.multiply(sds, z, out=out[:, pos:pos + len(z)])
-        return out[:, replicas.start:]
+        out = np.empty((len(boxes), len(replicas)))
+        map_batch(lambda col, z: np.multiply(
+            sds, z, out=out[:, col:col + len(z)]), seed, replicas, workers)
+        return out
     unique = list(dict.fromkeys(boxes))
     chunks = [replicas[i:i + REPLICA_CHUNK]
               for i in range(0, len(replicas), REPLICA_CHUNK)] or [replicas]
-    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        run = pool.map if workers > 1 else map  # threads start on first submit
-        rows = np.concatenate(list(run(
-            partial(_replica_pass, model, unique, seed), chunks)), axis=1)
+    rows = np.concatenate(_map_chunks(
+        partial(_replica_pass, model, unique, seed), chunks, workers), axis=1)
     return rows[[unique.index(b) for b in boxes]]
 
 

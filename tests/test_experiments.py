@@ -2,18 +2,20 @@ import dataclasses
 import hashlib
 import json
 import math
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from boxcgf import experiments
-from boxcgf.boxes import vol
+from boxcgf import experiments, fields
+from boxcgf.boxes import Box, vol
 from boxcgf.cgf import Z95
 from boxcgf.cli import main
 from boxcgf.config import ConfigError, ExperimentConfig
 from boxcgf.experiments import RUNNERS
-from boxcgf.fields import (REPLICA_CHUNK, discrete_box_std, exact_sigma2,
+from boxcgf.fields import (REPLICA_CHUNK, FieldModel, discrete_box_std,
+                           exact_sigma2, sample_box_integrals,
                            sample_integrals)
 from boxcgf.report import ExperimentReport
 
@@ -303,6 +305,45 @@ def test_workers_do_not_change_results():
     lrp, mdp = RUNNERS["lrp"], RUNNERS["mdp"]
     assert lrp(cfg, workers=1).to_csv() == lrp(cfg, workers=4).to_csv()
     assert mdp(cfg, workers=1).to_csv() == mdp(cfg, workers=3).to_csv()
+
+
+def test_mdp_count_bytes_do_not_depend_on_workers():
+    # three whole batch chunks and a short one of 17 samples
+    cfg = small_config(boxes=[[200.0], [1000.0], [50.0]],
+                       c_grid=[0.5, 2.0, 4.0], n_samples=3 * (1 << 16) + 17)
+    outs = {w: RUNNERS["mdp"](cfg, workers=w).to_csv() for w in (1, 2, 4)}
+    assert outs[1] == outs[2] == outs[4]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("boxes", [[[1000.0]], [[50.0], [200.0], [1000.0]]])
+def test_mdp_count_draws_each_batch_chunk_once(boxes, workers, monkeypatch):
+    n = 2 * (1 << 16) + 100
+    calls = []
+    draw = fields._tile_noise
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(fields, "_tile_noise", counted)
+    RUNNERS["mdp"](small_config(boxes=boxes, n_samples=n), workers=workers)
+    assert sorted(c[1] for c in calls) == [0, 1, 2]  # ceil(n / 2^16) chunks
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    def submit(*args, **kwargs):
+        raise AssertionError("a thread was started at one worker")
+
+    monkeypatch.setattr(futures.ThreadPoolExecutor, "submit", submit)
+    cfg = small_config(n_samples=(1 << 16) + 10, n_replicas=600)
+    for name in ("mdp", "lrp", "clt"):
+        RUNNERS[name](cfg, workers=1)
+    clipped = FieldModel(d=1, kind="bounded_nonlinear_ma", m=1.0,
+                         nonlinearity="clipped")
+    sample_box_integrals(clipped, [Box((20.0,))], 1, range(600), workers=1)
+    with pytest.raises(AssertionError, match="thread was started"):
+        RUNNERS["mdp"](cfg, workers=2)
 
 
 def test_grid_path_workers_do_not_change_results():

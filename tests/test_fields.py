@@ -248,6 +248,27 @@ def test_sample_integrals_is_the_one_box_pass():
         [discrete_box_std(GAUSS1, bb) * z for bb in (b, box(10.0))])
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_gaussian_range_draws_only_its_batch_chunks(workers, monkeypatch):
+    chunk = 1 << 16
+    replicas = range(3 * chunk + 5, 4 * chunk + 9)
+    full = np.concatenate(list(standard_batches(8, replicas.stop)))
+    calls = []
+    draw = fields._tile_noise
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(fields, "_tile_noise", counted)
+    boxes = [box(10.0), box(200.0)]
+    got = sample_box_integrals(GAUSS1, boxes, 8, replicas, workers)
+    assert sorted(c[1] for c in calls) == [3, 4]  # not the 3 chunks before
+    np.testing.assert_array_equal(
+        got, [discrete_box_std(GAUSS1, b) * full[replicas.start:]
+              for b in boxes])
+
+
 @pytest.mark.parametrize("d, sides", [(2, (8.0, 6.0)), (3, (4.0, 4.0, 3.0))])
 def test_grid_gaussian_field_variance(d, sides):
     # the grid path of an unclipped field is exactly Gaussian with the
