@@ -17,7 +17,7 @@ if __name__ == "__main__":
     sides = [float(s) for s in sys.argv[1:]] or [1024.0]
     b = box(*sides)
     model = FieldModel(d=b.d, kind="gaussian_ma", m=1.0)
-    params = EngineParams(d=b.d)
+    params = EngineParams()
 
     n = normalize_to_scale(b, 2.0 * params.c1)
     base = halve_n(b, n)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .boxes import Box
 from .engine import EngineParams
@@ -33,6 +34,17 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
+def _block(cls, data: dict, name: str):
+    """cls(**data), its int and float fields read by ``_integer`` and
+    ``_real``; cls itself rejects a key it does not have."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} must be an object, got {data!r}")
+    hints = get_type_hints(cls)
+    return cls(**{key: _integer(data, key) if hints.get(key) is int
+                  else _real(value, key) if hints.get(key) is float else value
+                  for key, value in data.items()})
+
+
 @dataclass
 class ExperimentConfig:
     model: FieldModel
@@ -48,7 +60,6 @@ class ExperimentConfig:
     mdp_tolerance: float = 0.10
     mdp_importance_sampling: bool = False
     additivity_pairs: list[tuple[float, float]] = field(default_factory=list)
-    additivity_rest: tuple[float, ...] = ()
     audit_base_scale: float | None = None
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -73,10 +84,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         try:
-            model = FieldModel(**data["model"])
-            engine_kwargs = dict(data.get("engine", {}))
-            engine_kwargs.setdefault("d", model.d)
-            engine = EngineParams(**engine_kwargs)
+            unknown = set(data) - {f.name for f in fields(cls)} - {"raw"}
+            if unknown:
+                raise ConfigError("unknown config key "
+                                  + ", ".join(map(repr, sorted(unknown))))
+            model = _block(FieldModel, data["model"], "model")
+            engine = _block(EngineParams, data.get("engine", {}), "engine")
             importance = data.get("mdp_importance_sampling", False)
             if not isinstance(importance, bool):
                 raise ConfigError("mdp_importance_sampling must be true or "
@@ -107,8 +120,6 @@ class ExperimentConfig:
                 mdp_importance_sampling=importance,
                 additivity_pairs=[tuple(_real(x, "additivity_pairs") for x in p)
                                   for p in data.get("additivity_pairs", [])],
-                additivity_rest=tuple(_real(s, "additivity_rest")
-                                      for s in data.get("additivity_rest", [])),
                 audit_base_scale=(_real(data["audit_base_scale"],
                                         "audit_base_scale")
                                   if "audit_base_scale" in data else None),
@@ -121,5 +132,4 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        data = json.loads(Path(path).read_text())
-        return cls.from_dict(data)
+        return cls.from_dict(json.loads(Path(path).read_text()))

@@ -17,7 +17,7 @@ engine never claims a certificate silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class CertificateError(ValueError):
 @dataclass(frozen=True)
 class EngineParams:
     c1: float = 4.0     # single-step drift constant; calculus assumes >= 3
-    d: int = 1
     eps: float = 0.1
     w_min: float = 4.0  # minimal admissible width for ladder descent
     c3: float = 3.0     # lambda-range constant of the descent route
@@ -45,8 +44,6 @@ class EngineParams:
             raise CertificateError("need C1 >= 3")
         if self.eps <= 0.0:
             raise CertificateError("need eps > 0")
-        if self.d < 1:
-            raise CertificateError("need d >= 1")
         if self.w_min < self.c1:
             raise CertificateError("need W >= C1 for ladder descent")
 
@@ -105,15 +102,15 @@ def _log_sd(v: float, d: int) -> float:
 
 
 def drift(b: Box, params: EngineParams) -> float:
-    """Per-step envelope drift x = sqrt(C1 / R(vol B))."""
-    return math.sqrt(params.c1 / iso_length(vol(b), params.d))
+    """Per-step envelope drift x = sqrt(C1 / R(vol B)), d the box's own."""
+    return math.sqrt(params.c1 / iso_length(vol(b), b.d))
 
 
 def admissible_lambda_cap(b: Box, params: EngineParams, p: float,
                           direction: str) -> float:
     """Largest C1*|lambda| allowed by the single-step inequality."""
     v = vol(b)
-    base = math.sqrt(v) / _log_sd(v, params.d)
+    base = math.sqrt(v) / _log_sd(v, b.d)
     if direction == "up":
         return (p - 1.0) / p * base / params.c1
     return (p - 1.0) * base / params.c1
@@ -138,30 +135,26 @@ def single_step_check(f_b: CgfEstimate, f_bhalf: CgfEstimate,
         raise CertificateError("width below C1: single-step hypothesis unavailable")
     v = vol(bb)
     admissible = abs(lam) <= admissible_lambda_cap(bb, params, p, direction)
-    interpolated = False
     if lam == 0.0:
         return {"lhs": 0.0, "rhs": 0.0, "holds": True, "admissible": True,
                 "interpolated": False, "slack": 0.0}
-    f_big, ci_big, it1 = f_b.value_at(lam)
+    lhs, ci_big, it1 = f_b.value_at(lam)
     if direction == "up":
         f_small, ci_small, it2 = f_bhalf.value_at(p * lam / SQRT2)
-        lhs = f_big
-        rhs = (2.0 / p) * f_small + params.c1 * p / (p - 1.0) * lam * lam / iso_length(v, params.d)
+        rhs = (2.0 / p) * f_small + params.c1 * p / (p - 1.0) * lam * lam / iso_length(v, bb.d)
         slack_ci = ci_big + (2.0 / p) * ci_small
         holds = lhs <= rhs + slack_ci
         slack = rhs + slack_ci - lhs
     else:
         f_small, ci_small, it2 = f_bhalf.value_at(lam / (p * SQRT2))
-        lhs = f_big
-        rhs = 2.0 * p * f_small - params.c1 / (p - 1.0) * lam * lam / iso_length(v, params.d)
+        rhs = 2.0 * p * f_small - params.c1 / (p - 1.0) * lam * lam / iso_length(v, bb.d)
         slack_ci = ci_big + 2.0 * p * ci_small
         holds = lhs >= rhs - slack_ci
         slack = lhs - rhs + slack_ci
-    interpolated = it1 or it2
     if not admissible:
         holds = True  # inequality not asserted outside the admissible range
     return {"lhs": lhs, "rhs": rhs, "holds": holds, "admissible": admissible,
-            "interpolated": interpolated, "slack": slack}
+            "interpolated": it1 or it2, "slack": slack}
 
 
 def step_up(u: float, delta: float, b: Box, params: EngineParams) -> StepResult:
@@ -202,8 +195,7 @@ def slope_step(lam: float, mu: float, b: Box, params: EngineParams,
         raise CertificateError("lambda and mu must share a sign")
     if width(b) < params.c1:
         raise CertificateError("width below C1")
-    v = vol(b)
-    d = params.d
+    v, d = vol(b), b.d
     x = 1.0 / (iso_length(v, d) * _log_sd(v, d))
     y = params.c1 / math.sqrt(v / 2.0) * _log_sd(v, d)
     alpha = SQRT2 / abs(lam) - 1.0 / abs(mu)
@@ -300,7 +292,7 @@ def envelope_schedule(a: float, delta: float, b: Box, n: int,
     """
     if direction not in ("up", "down"):
         raise CertificateError(f"unknown direction {direction!r}")
-    d = params.d
+    d = b.d
     steps, _ = _climb(a, delta, b, n, params,
                       step_up if direction == "up" else step_down)
     lost = n + 1 - len(steps)  # levels 0..lost-1 were not reached
@@ -368,7 +360,7 @@ def ladder_descent(b: Box, lam: float, params: EngineParams,
         raise CertificateError(f"unknown direction {direction!r}")
     if lam == 0.0:
         raise CertificateError("need lambda != 0")
-    d, v = params.d, vol(b)
+    d, v = b.d, vol(b)
     eps, c1, c3 = params.eps, params.c1, params.c3
     if v < params.c2_prop:
         raise CertificateError("volume below the descent threshold")
@@ -420,7 +412,7 @@ def ladder_descent(b: Box, lam: float, params: EngineParams,
 
 def _ladder_checks(cert: LadderCertificate, b: Box, lam: float,
                    params: EngineParams) -> None:
-    d, v, eps = params.d, vol(b), params.eps
+    d, v, eps = b.d, vol(b), params.eps
     n, mu = cert.n, cert.mu
     sub = halve_n(b, n)
     w_sub = width(sub)
@@ -468,9 +460,8 @@ def calibrate_c1(oracle_for, box_family: list[Box], params_base: EngineParams,
                for bx in box_family if width(bx) >= narrowest]
     worst: dict | None = None
     for cand in candidates:
-        params = EngineParams(c1=cand, d=params_base.d, eps=params_base.eps,
-                              w_min=max(params_base.w_min, cand),
-                              c3=params_base.c3, c2_prop=params_base.c2_prop)
+        params = replace(params_base, c1=cand,
+                         w_min=max(params_base.w_min, cand))
         report: list[dict] = []
         ok = True
         for bx, f_b, f_h in oracles:

@@ -277,7 +277,7 @@ def _additivity_rows(cfg: ExperimentConfig, pair: tuple[float, float],
                      workers: int) -> list[dict]:
     """Additivity of r * sigma_r^2 along the first axis."""
     model = cfg.model
-    rest = cfg.additivity_rest or tuple(cfg.boxes[0].sides[1:])
+    rest = cfg.boxes[0].sides[1:]  # transverse sides, kept for all three boxes
 
     def weighted_var(b: Box, samples) -> tuple[float, float]:
         """(r * Var/vol, 95% half-width), r the box's first side."""

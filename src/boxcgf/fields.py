@@ -203,10 +203,8 @@ def sample_integral(model: FieldModel, b: Box, seed: int, replica: int) -> float
     """
     if b.d != model.d:
         raise FieldModelError("box dimension does not match model dimension")
-    if model.kind == "iid_block":
-        return _block_integral(model, b, seed, replica)
-    return float(_grid_integrals(model, [b], seed,
-                                 range(replica, replica + 1))[0, 0])
+    return float(_replica_pass(model, [b], seed,
+                               range(replica, replica + 1))[0, 0])
 
 
 def _block_integral(model: FieldModel, b: Box, seed: int, replica: int) -> float:
@@ -224,7 +222,7 @@ def _block_integral(model: FieldModel, b: Box, seed: int, replica: int) -> float
 
 def discrete_box_variance(model: FieldModel, b: Box) -> float:
     """Exact variance of the grid-discretized integral for Gaussian models."""
-    if model.kind != "gaussian_ma":
+    if not is_gaussian(model):
         raise NoClosedFormError("no closed form for non-Gaussian model")
     h = model.grid_h
     taps = _taps(model)
@@ -357,7 +355,7 @@ def _axis_variance(model: FieldModel, r: float) -> float:
 
 def exact_box_variance(model: FieldModel, b: Box) -> float:
     """Var of the continuum box integral, exact for Gaussian moving averages."""
-    if model.kind != "gaussian_ma":
+    if not is_gaussian(model):
         raise NoClosedFormError("no closed form for non-Gaussian model")
     if b.d != model.d:
         raise FieldModelError("box dimension does not match model dimension")
@@ -369,7 +367,7 @@ def exact_box_variance(model: FieldModel, b: Box) -> float:
 
 def exact_sigma2(model: FieldModel) -> float:
     """Limit of Var(integral)/vol: the squared total kernel mass per axis."""
-    if model.kind != "gaussian_ma":
+    if not is_gaussian(model):
         raise NoClosedFormError("no closed form for non-Gaussian model")
     mass = model.amplitude * (model.m if model.kernel == "indicator" else model.m / 2.0)
     return mass ** (2 * model.d)

@@ -76,7 +76,7 @@ def test_criterion_2_step_identities_and_delta():
     lhs_dn = uu * uu / p_dn - xx * xx / (p_dn - 1.0)
     assert np.max(np.abs(lhs_dn - (uu - xx) ** 2)
                   / np.maximum(1.0, uu * uu)) <= 1e-10
-    res = step_up(1.0, 0.1, box(16.0), EngineParams(c1=4.0, d=1))
+    res = step_up(1.0, 0.1, box(16.0), EngineParams(c1=4.0))
     assert abs(res.delta_out - 0.094281) < 1e-6
     assert abs(res.delta_out - SQRT2 * 0.1 / 1.5) < 1e-9
     _report(2, "coefficient identities exact on 1e4 pairs; "
@@ -86,7 +86,7 @@ def test_criterion_2_step_identities_and_delta():
 def test_criterion_3_certificate_soundness_vs_oracle():
     t0 = time.time()
     rng = np.random.default_rng(3)
-    params = EngineParams(c1=4.0, d=1)
+    params = EngineParams(c1=4.0)
     checked = 0
     for _ in range(1000):
         d = int(rng.integers(1, 3))
@@ -115,7 +115,7 @@ def test_criterion_3_certificate_soundness_vs_oracle():
 
 
 def test_criterion_4_ladder_descent():
-    params = EngineParams(c1=4.0, d=1, c3=3.0)
+    params = EngineParams(c1=4.0, c3=3.0)
     cert = ladder_descent(box(1e6), 1.0, params, "up")
     assert cert.n == 4
     assert abs(abs(cert.mu) - 0.254065) < 1e-6

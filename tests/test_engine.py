@@ -14,7 +14,7 @@ from boxcgf.engine import (CertificateError, EngineParams, SQRT2, _climb,
 from boxcgf.fields import FieldModel, exact_box_variance
 
 GAUSS1 = FieldModel(d=1, kind="gaussian_ma", m=1.0)
-P1 = EngineParams(c1=4.0, d=1)
+P1 = EngineParams(c1=4.0)
 
 
 def test_params_validation():
@@ -76,9 +76,10 @@ def test_steps_require_width():
 
 
 def test_drift_formula():
+    # R(vol) = vol^(1/d) with the box's own d: 16, 16 and 4
     assert drift(box(16.0), P1) == pytest.approx(0.5, rel=1e-12)
-    p2 = EngineParams(c1=4.0, d=2)
-    assert drift(box(16.0, 16.0), p2) == pytest.approx(0.5, rel=1e-12)
+    assert drift(box(16.0, 16.0), P1) == pytest.approx(0.5, rel=1e-12)
+    assert drift(box(4.0, 4.0), P1) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_single_step_holds_on_exact_gaussian():
@@ -135,7 +136,7 @@ def test_iterate_lower_annihilates_with_level():
 
 
 def test_iterate_lower_survives_with_small_drift():
-    params = EngineParams(c1=3.0, d=1, w_min=3.0)
+    params = EngineParams(c1=3.0, w_min=3.0)
     b = box(2.0 ** 20)
     n = 3
     base = halve_n(b, n)
@@ -217,7 +218,7 @@ def test_schedule_down_direction_and_failure_reporting():
 
 
 def test_ladder_worked_example():
-    cert = ladder_descent(box(1e6), 1.0, EngineParams(c1=4.0, d=1, c3=3.0), "up")
+    cert = ladder_descent(box(1e6), 1.0, EngineParams(c1=4.0, c3=3.0), "up")
     assert cert.n == 4
     assert abs(cert.mu) == pytest.approx(0.254065, abs=1e-6)
     assert 2.0 ** (cert.n / 2.0) * abs(cert.mu) == pytest.approx(
@@ -226,7 +227,7 @@ def test_ladder_worked_example():
 
 
 def test_ladder_telescoping_identity():
-    params = EngineParams(c1=4.0, d=1, c3=3.0)
+    params = EngineParams(c1=4.0, c3=3.0)
     v = 1e6
     cert = ladder_descent(box(v), 1.0, params, "up")
     for k, lam_k in enumerate(cert.lambda_seq):
@@ -238,14 +239,14 @@ def test_ladder_telescoping_identity():
 
 
 def test_ladder_short_circuit():
-    params = EngineParams(c1=4.0, d=1, c3=3.0, eps=0.1)
+    params = EngineParams(c1=4.0, c3=3.0, eps=0.1)
     cert = ladder_descent(box(1e6), 0.05, params, "up")
     assert cert.short_circuit
     assert cert.n == 0 and cert.mu == 0.05
 
 
 def test_ladder_preconditions():
-    params = EngineParams(c1=4.0, d=1, c3=3.0)
+    params = EngineParams(c1=4.0, c3=3.0)
     with pytest.raises(CertificateError):
         ladder_descent(box(8.0), 0.5, params)  # volume below threshold
     with pytest.raises(CertificateError):
@@ -255,7 +256,7 @@ def test_ladder_preconditions():
 
 
 def test_ladder_down_chain_decreases():
-    params = EngineParams(c1=4.0, d=1, c3=3.0)
+    params = EngineParams(c1=4.0, c3=3.0)
     cert = ladder_descent(box(1e6), 1.0, params, "down")
     scaled = [2.0 ** (k / 2.0) * abs(l) for k, l in enumerate(cert.lambda_seq)]
     assert all(b <= a + 1e-15 for a, b in zip(scaled, scaled[1:]))

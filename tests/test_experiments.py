@@ -50,6 +50,8 @@ def test_config_validation():
                                               "m": 1.0}})  # missing keys
     assert small_config(n_samples=1e5).n_samples == 100_000  # integral float
     assert small_config(mdp_tolerance=1).mdp_tolerance == 1.0  # int is a number
+    model = dict(small_config().raw["model"], d=1.0)
+    assert type(small_config(model=model).model.d) is int  # integral float
 
 
 def test_config_hash_stable():
@@ -446,7 +448,22 @@ def test_cli_bad_config_is_exit_2(tmp_path):
     ({"lrp_tolerance": False}, "lrp_tolerance must be a number, got False"),
     ({"additivity_pairs": [[100.0, True]]},
      "additivity_pairs must be a number, got True"),
-    ({"additivity_rest": ["1"]}, "additivity_rest must be a number, got '1'"),
+    ({"additivity_rest": [2.0]}, "unknown config key 'additivity_rest'"),
+    ({"engine": {"c1": 4.0, "w_min": 4.0, "d": 2}},
+     "unexpected keyword argument 'd'"),
+    ({"n_sample": 50_000}, "unknown config key 'n_sample'"),
+    ({"mdp_tollerance": 0.1}, "unknown config key 'mdp_tollerance'"),
+    ({"model": {"d": 1.5, "kind": "gaussian_ma", "m": 1.0}},
+     "d must be an integer, got 1.5"),
+    ({"model": {"d": True, "kind": "gaussian_ma", "m": 1.0}},
+     "d must be an integer, got True"),
+    ({"model": {"d": 1, "kind": "gaussian_ma", "m": True}},
+     "m must be a number, got True"),
+    ({"model": {"d": 1, "kind": "gaussian_ma", "m": 1.0, "amplitude": True}},
+     "amplitude must be a number, got True"),
+    ({"engine": {"c1": 4.0, "eps": True}}, "eps must be a number, got True"),
+    ({"engine": {"c1": 4.0, "c3": True}}, "c3 must be a number, got True"),
+    ({"model": [1]}, "model must be an object, got [1]"),
 ])
 def test_cli_malformed_config_is_exit_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"

@@ -85,12 +85,14 @@ def test_discrete_variance_frozen_value():
 
 
 def test_no_closed_form_for_nonlinear():
-    model = FieldModel(d=1, kind="bounded_nonlinear_ma", m=1.0,
-                       nonlinearity="clipped")
-    with pytest.raises(NoClosedFormError):
-        exact_box_variance(model, box(4.0))
-    with pytest.raises(NoClosedFormError):
-        exact_sigma2(model)
+    for kind in ("bounded_nonlinear_ma", "gaussian_ma"):
+        model = FieldModel(d=1, kind=kind, m=1.0, nonlinearity="clipped")
+        with pytest.raises(NoClosedFormError):
+            exact_box_variance(model, box(100.0))
+        with pytest.raises(NoClosedFormError):
+            discrete_box_variance(model, box(100.0))
+        with pytest.raises(NoClosedFormError):
+            exact_sigma2(model)
 
 
 def test_exact_gaussian_cgf_quadratic():
