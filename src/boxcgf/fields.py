@@ -6,10 +6,14 @@ step ``grid_h``.  Finite kernel support makes every model m-dependent,
 which is the concrete stand-in for the structural splitting property the
 bound calculus assumes.
 
-Noise is counter-based: each grid cell's standard normal is derived
-deterministically from (seed, replica, tile, offset) through Philox
-streams, so overlapping boxes share noise and parallel evaluation cannot
-change any value.
+Noise is counter-based.  Cells are grouped in tiles, and tile t of a
+replica is the stream ``Philox(SeedSequence([seed, replica, tag,
+*(t + 2**40)]))`` read in C order, so each cell's standard normal depends
+only on (seed, replica, tag, cell): overlapping boxes share noise and
+parallel evaluation cannot change any value.  The Philox keys of all the
+streams a call needs are derived in one vectorised pass of SeedSequence's
+hash, and a tile is drawn only up to the last cell read (a Philox
+``standard_normal(n)`` is the prefix of every longer draw).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 from concurrent import futures
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 
 import numpy as np
@@ -91,19 +95,115 @@ def _grid_points(model: FieldModel, b: Box) -> tuple[int, ...]:
     return tuple(max(1, int(round(r / model.grid_h))) for r in b.sides)
 
 
-def _tile_noise(seed: int, replica: int, tag: int, tile: tuple[int, ...],
-                shape: tuple[int, ...]) -> np.ndarray:
-    entropy = [int(seed) & (2**64 - 1), int(replica) & (2**64 - 1), tag]
-    entropy += [t + _ENTROPY_SHIFT for t in tile]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-    return rng.standard_normal(shape)
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose output
+# numpy documents as stable: the hash constants of the entropy pool and of
+# the generated state, and the pool's mixing multipliers
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
 
 
-def _scatter_plan(ranges: list[tuple[tuple[int, ...], tuple[int, ...]]],
-                  tl: int) -> list[tuple[tuple[int, ...], list[tuple]]]:
-    """Each noise tile (edge tl) that the cell ranges [lo, hi) touch, once,
-    with a (range index, destination slices, tile slices) entry per range."""
-    plan: dict[tuple[int, ...], list[tuple]] = {}
+def _hasher(hc: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays; each call moves the hash
+    constant on, as in numpy."""
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal hc
+        v = v ^ np.uint32(hc)
+        hc = hc * mult & _M32
+        v *= np.uint32(hc)
+        v ^= v >> np.uint32(16)
+        return v
+    return hashmix
+
+
+def _seed_sequence_keys(words: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(2, np.uint64)`` of many
+    entropies at once: ``words[k]`` holds the k-th uint32 word of every
+    entropy (each has at least 4), all broadcasting to one shape S; the
+    keys have shape S + (2,)."""
+    def mix(x, y):
+        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        r ^= r >> np.uint32(16)
+        return r
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    # as numpy does: four uint32 words, read as two little-endian uint64
+    state = np.stack(list(map(_hasher(_INIT_B, _MULT_B), pool)), axis=-1)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _philox_keys(seed: int, replicas, tag: int, tiles) -> np.ndarray:
+    """``keys[i, j]``: the Philox key of ``Philox(SeedSequence([seed,
+    replicas[i], tag, *(tiles[j] + 2**40)]))``, for every pair at once.
+
+    ``tiles`` is a (T, d) array of tile indices; seed and replicas are
+    taken mod 2**64.  A SeedSequence reads an entropy word of 2**32 or more
+    as two uint32 words, so replicas below and at or above 2**32 are hashed
+    apart; the seed's words are the same for all, and each tile word, being
+    at least 2**32, is always two.
+    """
+    reps = [int(r) & _M64 for r in replicas]
+    rep_words = [np.array([r & _M32 for r in reps], dtype=np.uint32)[:, None],
+                 np.array([r >> 32 for r in reps], dtype=np.uint32)[:, None]]
+    shifted = np.asarray(tiles, dtype=np.int64)[None] + _ENTROPY_SHIFT
+    if shifted.size and shifted.min() <= _M32:
+        raise ValueError("tile index below 2**32 - 2**40")
+    s = int(seed) & _M64
+    seed_words = [s & _M32] + ([s >> 32] if s >> 32 else [])
+    tile_words = [w for k in range(shifted.shape[-1])
+                  for w in (shifted[..., k] & _M32, shifted[..., k] >> 32)]
+    keys = np.empty((len(reps), shifted.shape[1], 2), dtype=np.uint64)
+    # rows are grouped in Python: numpy's uint64 compare and mask loops
+    # would page in more of numpy and raise the peak RSS
+    for wide in (False, True):
+        rows = [i for i, r in enumerate(reps) if (r > _M32) == wide]
+        if rows:
+            words = (seed_words + [w[rows] for w in rep_words[:1 + wide]]
+                     + [tag] + tile_words)
+            keys[rows] = _seed_sequence_keys([
+                np.array(w, dtype=np.uint32, ndmin=2) for w in words])
+    return keys
+
+
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+
+
+def _draw_keyed(gen: np.random.Generator, key: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (C-contiguous) with the first ``out.size`` standard
+    normals of the Philox stream with key ``key``, counter 0 and an empty
+    buffer: those of ``Philox(SeedSequence(entropy))`` for the entropy that
+    ``_philox_keys`` turned into ``key``."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
+        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen.standard_normal(out=out)
+
+
+def _replica_noise(seed: int, tag: int,
+                   ranges: list[tuple[tuple[int, ...], tuple[int, ...]]],
+                   replicas):
+    """Yield, replica after replica, the standard normals of the absolute
+    cell ranges [lo, hi): one array per range, refilled in place for the
+    next replica.
+
+    Each noise tile (edge tl) that the ranges touch is drawn once per
+    replica, with the keys of every (replica, tile) stream derived up front
+    in one pass.  One generator draws a tile only up to the last cell that
+    a range reads, in C order: straight into a range's buffer where that
+    prefix is all it reads, and else into a tile buffer the ranges copy from.
+    """
+    d = len(ranges[0][0])
+    tl = _TILE_LEN.get(d, 8)
+    plan: dict[tuple[int, ...], list[tuple]] = {}  # tile -> (range, dst, src, end)
     for i, (lo, hi) in enumerate(ranges):
         for tile in product(*[range(l // tl, (h - 1) // tl + 1)
                               for l, h in zip(lo, hi)]):
@@ -111,8 +211,32 @@ def _scatter_plan(ranges: list[tuple[tuple[int, ...], tuple[int, ...]]],
                     for t, l, h in zip(tile, lo, hi)]
             dst = tuple(slice(a - l, b - l) for a, b, l, _ in cuts)
             src = tuple(slice(a - t0, b - t0) for a, b, _, t0 in cuts)
-            plan.setdefault(tile, []).append((i, dst, src))
-    return sorted(plan.items())
+            last = [s.stop - 1 for s in src]
+            end = 1 + int(np.ravel_multi_index(last, (tl,) * d))
+            plan.setdefault(tile, []).append((i, dst, src, end))
+    # the keys' temporaries are freed before any buffer is allocated
+    keys = _philox_keys(seed, replicas, tag,
+                        np.array(sorted(plan), dtype=np.int64).reshape(-1, d))
+    noise = [np.empty(tuple(h - l for l, h in zip(lo, hi))) for lo, hi in ranges]
+    tile_buf = np.empty((tl,) * d)
+    steps = []
+    for _, parts in sorted(plan.items()):
+        views = [(noise[i][dst], src, end) for i, dst, src, end in parts]
+        n = max(end for *_, end in views)
+        direct = next((v for v, src, end in views if end == v.size == n
+                       and not any(s.start for s in src)
+                       and v.flags.c_contiguous), None)
+        if direct is None:
+            steps.append((tile_buf.reshape(-1)[:n], tile_buf, views))
+        else:
+            steps.append((direct, direct, [x for x in views if x[0] is not direct]))
+    gen = np.random.Generator(np.random.Philox(0))  # each draw sets its key
+    for row in keys:
+        for key, (target, block, copies) in zip(row, steps):
+            _draw_keyed(gen, key, target)
+            for view, src, _ in copies:
+                view[...] = block[src]
+        yield noise
 
 
 def white_noise(seed: int, replica: int, lo: tuple[int, ...], hi: tuple[int, ...],
@@ -122,13 +246,7 @@ def white_noise(seed: int, replica: int, lo: tuple[int, ...], hi: tuple[int, ...
     Cell values depend only on (seed, replica, tag, absolute cell index),
     never on the requested ranges, so overlapping requests agree.
     """
-    tl = _TILE_LEN.get(len(lo), 8)
-    out = np.empty(tuple(h - l for l, h in zip(lo, hi)))
-    for tile, parts in _scatter_plan([(lo, hi)], tl):
-        block = _tile_noise(seed, replica, tag, tile, (tl,) * len(lo))
-        for _, dst, src in parts:
-            out[dst] = block[src]
-    return out
+    return next(_replica_noise(seed, tag, [(lo, hi)], [replica]))[0]
 
 
 def _apply_nonlinearity(model: FieldModel, g: np.ndarray,
@@ -177,17 +295,11 @@ def _grid_integrals(model: FieldModel, boxes: list[Box], seed: int,
     in-place operations are those of fresh arrays, in the same order.
     """
     h, d, taps = model.grid_h, model.d, _taps(model)
-    tl = _TILE_LEN.get(d, 8)
-    npts = [_grid_points(model, b) for b in boxes]
-    noise = [np.empty(tuple(n + len(taps) - 1 for n in pts)) for pts in npts]
-    plan = _scatter_plan([((1 - len(taps),) * d, pts) for pts in npts], tl)
-    scratch = [np.empty(max(buf.size for buf in noise)) for _ in range(3)]
+    ranges = [((1 - len(taps),) * d, _grid_points(model, b)) for b in boxes]
     out = np.empty((len(boxes), len(replicas)))
-    for col, replica in enumerate(replicas):
-        for tile, parts in plan:
-            block = _tile_noise(seed, replica, _GRID_TAG, tile, (tl,) * d)
-            for i, dst, src in parts:
-                noise[i][dst] = block[src]
+    for col, noise in enumerate(_replica_noise(seed, _GRID_TAG, ranges, replicas)):
+        if col == 0:  # allocated after the noise keys' temporaries are freed
+            scratch = [np.empty(max(buf.size for buf in noise)) for _ in range(3)]
         for i, buf in enumerate(noise):
             g = _valid_correlate(buf, taps, scratch)
             np.multiply(h ** (d / 2.0), g, out=g)
@@ -207,17 +319,22 @@ def sample_integral(model: FieldModel, b: Box, seed: int, replica: int) -> float
                                range(replica, replica + 1))[0, 0])
 
 
-def _block_integral(model: FieldModel, b: Box, seed: int, replica: int) -> float:
+def _block_integrals(model: FieldModel, boxes: list[Box], seed: int,
+                     replicas: range) -> np.ndarray:
+    """The i.i.d.-block integral of every box at every replica: each unit
+    block's (transformed) normal times the block's overlap with the box.
+    The overlap weights are built once per box."""
     m = model.m
-    nblk = tuple(int(math.ceil(r / m - 1e-12)) for r in b.sides)
-    noise = white_noise(seed, replica, (0,) * model.d, nblk, tag=_BLOCK_TAG)
-    x = _apply_nonlinearity(model, noise)
-    overlaps = [np.array([min(r, (i + 1) * m) - i * m for i in range(n)])
-                for r, n in zip(b.sides, nblk)]
-    w = overlaps[0]
-    for o in overlaps[1:]:
-        w = np.multiply.outer(w, o)
-    return float((x * w).sum())
+    nblk = [tuple(int(math.ceil(r / m - 1e-12)) for r in b.sides) for b in boxes]
+    weights = [reduce(np.multiply.outer, [
+        np.array([min(r, (i + 1) * m) - i * m for i in range(n)])
+        for r, n in zip(b.sides, shape)]) for b, shape in zip(boxes, nblk)]
+    ranges = [((0,) * model.d, shape) for shape in nblk]
+    out = np.empty((len(boxes), len(replicas)))
+    for col, noise in enumerate(_replica_noise(seed, _BLOCK_TAG, ranges, replicas)):
+        for i, (x, w) in enumerate(zip(noise, weights)):
+            out[i, col] = (_apply_nonlinearity(model, x, out=x) * w).sum()
+    return out
 
 
 def discrete_box_variance(model: FieldModel, b: Box) -> float:
@@ -255,17 +372,21 @@ def map_batch(fn, seed: int, replicas: range, workers: int = 1) -> list:
     normals at positions ``replicas[col:col + len(z)]``.
 
     Chunk i holds draws i * 2^16 ... of a stream keyed by (seed, i) alone.
-    Each task draws its chunk whole, then cuts it, so no value depends on
-    the range and at most ``workers`` chunks are alive at once.
+    The keys of all the chunks are derived before any is drawn.  Each task
+    draws its chunk up to the range's end, then cuts it, so no value
+    depends on the range and at most ``workers`` chunks are alive at once.
     """
-    def task(chunk_idx: int):
-        pos = chunk_idx * _BATCH_CHUNK
-        z = _tile_noise(seed, chunk_idx, _BATCH_TAG, (0,), (_BATCH_CHUNK,))
-        lo, hi = max(replicas.start, pos), min(replicas.stop, pos + len(z))
-        return fn(lo - replicas.start, z[lo - pos:hi - pos])
+    chunks = range(replicas.start // _BATCH_CHUNK, -(-replicas.stop // _BATCH_CHUNK))
+    keys = _philox_keys(seed, chunks, _BATCH_TAG, [(0,)])[:, 0]
 
-    return _map_chunks(task, range(replicas.start // _BATCH_CHUNK,
-                                   -(-replicas.stop // _BATCH_CHUNK)), workers)
+    def task(i: int):
+        pos = chunks[i] * _BATCH_CHUNK
+        lo, hi = max(replicas.start, pos), min(replicas.stop, pos + _BATCH_CHUNK)
+        z = _draw_keyed(np.random.Generator(np.random.Philox(0)), keys[i],
+                        np.empty(hi - pos))
+        return fn(lo - replicas.start, z[lo - pos:])
+
+    return _map_chunks(task, range(len(chunks)), workers)
 
 
 def standard_batches(seed: int, n: int) -> list[np.ndarray]:
@@ -291,8 +412,7 @@ REPLICA_CHUNK = 256  # replicas per unit of work of a grid or block pass
 def _replica_pass(model: FieldModel, boxes: list[Box], seed: int,
                   replicas: range) -> np.ndarray:
     if model.kind == "iid_block":
-        return np.array([[_block_integral(model, b, seed, i) for i in replicas]
-                         for b in boxes])
+        return _block_integrals(model, boxes, seed, replicas)
     return _grid_integrals(model, boxes, seed, replicas)
 
 

@@ -83,17 +83,19 @@ def test_criterion_2_step_identities_and_delta():
                f"step radius {res.delta_out:.6f}")
 
 
-def test_criterion_3_certificate_soundness_vs_oracle():
-    t0 = time.time()
-    rng = np.random.default_rng(3)
+def _soundness_sweep(seed, cases, scale, side_lo, side_hi):
+    """Upper and lower climbs of random 1-d and 2-d Gaussian boxes from the
+    exact coefficient of their base at ``scale``, each checked against the
+    box's exact coefficient.  Returns {d: [boxes, lower certificates]}."""
+    rng = np.random.default_rng(seed)
     params = EngineParams(c1=4.0)
-    checked = 0
-    for _ in range(1000):
+    counts = {1: [0, 0], 2: [0, 0]}
+    for _ in range(cases):
         d = int(rng.integers(1, 3))
         model = FieldModel(d=d, kind="gaussian_ma", m=1.0)
-        sides = tuple(rng.uniform(8.0, 40.0, d) * 2.0 ** rng.integers(0, 8))
+        sides = tuple(rng.uniform(side_lo, side_hi, d) * 2.0 ** rng.integers(0, 8))
         b = Box(sides)
-        n = min(20, normalize_to_scale(b, 8.0))
+        n = min(20, normalize_to_scale(b, scale))
         base = halve_n(b, n)
         target = halve_n(b, 0)
         coeff_base = 0.5 * exact_box_variance(model, base) / vol(base)
@@ -101,17 +103,40 @@ def test_criterion_3_certificate_soundness_vs_oracle():
         delta0 = delta_cap(vol(base), 4.0, d)
         up = iterate_quadratic_upper(coeff_base, delta0, b, n, params)
         assert up.U >= exact * (1 - 1e-12), (b.sides, n, up.U, exact)
+        counts[d][0] += 1
         try:
             low = iterate_quadratic_lower(coeff_base, delta0, b, n, params)
         except CertificateError:
-            low = None  # annihilation: no lower certificate, nothing to check
-        if low is not None:
-            assert low.L <= exact * (1 + 1e-12), (b.sides, n, low.L, exact)
-        checked += 1
+            continue  # annihilation: no lower certificate, nothing to check
+        assert low.L <= exact * (1 + 1e-12), (b.sides, n, low.L, exact)
+        counts[d][1] += 1
+    return counts
+
+
+def _lower_summary(counts):
+    lower = sum(n_low for _, n_low in counts.values())
+    return (f"{lower} lower certificates checked ("
+            + ", ".join(f"{n_low} of {n} {d}-d" for d, (n, n_low) in counts.items())
+            + ")")
+
+
+def test_criterion_3_certificate_soundness_vs_oracle():
+    t0 = time.time()
+    counts = _soundness_sweep(3, 1000, 8.0, 8.0, 40.0)
+    checked = sum(n for n, _ in counts.values())
     elapsed = time.time() - t0
     assert elapsed < 60.0, f"soundness sweep took {elapsed:.1f}s"
     _report(3, f"{checked} random configurations, zero violations, "
-               f"{elapsed:.1f}s")
+               f"{_lower_summary(counts)}, {elapsed:.1f}s")
+
+
+def test_criterion_3_lower_certificates_at_base_scale_1024():
+    # at base scale 8 the lower climb annihilates in most cases; from base
+    # sides in [1024, 2048) it survives on every one of these 1000 boxes
+    counts = _soundness_sweep(1024, 1000, 1024.0, 1024.0, 4096.0)
+    for d, (n, n_low) in counts.items():
+        assert n_low >= 0.99 * n, (d, n, n_low)
+    _report(3, f"base scale 1024: zero violations, {_lower_summary(counts)}")
 
 
 def test_criterion_4_ladder_descent():

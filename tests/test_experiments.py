@@ -321,16 +321,19 @@ def test_mdp_count_bytes_do_not_depend_on_workers():
 @pytest.mark.parametrize("boxes", [[[1000.0]], [[50.0], [200.0], [1000.0]]])
 def test_mdp_count_draws_each_batch_chunk_once(boxes, workers, monkeypatch):
     n = 2 * (1 << 16) + 100
-    calls = []
-    draw = fields._tile_noise
+    keys = []
+    draw = fields._draw_keyed
 
-    def counted(*args):
-        calls.append(args)
-        return draw(*args)
+    def counted(gen, key, out):
+        keys.append(tuple(key))
+        return draw(gen, key, out)
 
-    monkeypatch.setattr(fields, "_tile_noise", counted)
-    RUNNERS["mdp"](small_config(boxes=boxes, n_samples=n), workers=workers)
-    assert sorted(c[1] for c in calls) == [0, 1, 2]  # ceil(n / 2^16) chunks
+    monkeypatch.setattr(fields, "_draw_keyed", counted)
+    cfg = small_config(boxes=boxes, n_samples=n)
+    RUNNERS["mdp"](cfg, workers=workers)
+    chunk_keys = [tuple(np.random.SeedSequence([cfg.seed, i, 17, 2 ** 40])
+                        .generate_state(2, np.uint64)) for i in range(3)]
+    assert sorted(keys) == sorted(chunk_keys)  # ceil(n / 2^16) chunks
 
 
 def test_one_worker_starts_no_thread(monkeypatch):

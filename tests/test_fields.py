@@ -1,9 +1,10 @@
 import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -215,28 +216,163 @@ def test_sample_box_integrals_match_per_replica_integrals(model, boxes,
             _fresh_integral(model, b, 19, i) for i in replicas]
 
 
-def test_sample_box_integrals_draw_each_tile_once_per_replica(monkeypatch):
+@pytest.fixture
+def draws(monkeypatch):
+    """(key, size) of every keyed noise draw the test makes."""
     calls = []
-    draw = fields._tile_noise
+    draw = fields._draw_keyed
 
-    def counted(*args):
-        calls.append(args)
-        return draw(*args)
+    def counted(gen, key, out):
+        calls.append((tuple(key), out.size))
+        return draw(gen, key, out)
 
-    monkeypatch.setattr(fields, "_tile_noise", counted)
+    monkeypatch.setattr(fields, "_draw_keyed", counted)
+    return calls
+
+
+def _batch_key(seed, chunk):
+    """The key of a batch chunk's stream, as numpy's SeedSequence derives it."""
+    return tuple(np.random.SeedSequence([seed, chunk, 17, 2 ** 40])
+                 .generate_state(2, np.uint64))
+
+
+def test_sample_box_integrals_draw_each_tile_once_per_replica(draws):
     cube, slab = box(8.0, 8.0, 8.0), box(10.0, 8.0, 6.0)
     for b, tiles in ((cube, 27), (slab, 36)):  # 63 draws when sampled apart
-        calls.clear()
+        draws.clear()
         sample_box_integrals(GRID3, [b], 5, range(1))
-        assert len(calls) == tiles
-    calls.clear()
+        assert len(draws) == tiles
+    draws.clear()
     sample_box_integrals(GRID3, [cube, slab], 5, range(3))
-    assert len(calls) == 3 * 36 and len(set(calls)) == len(calls)
+    assert len(draws) == 3 * 36 and len({k for k, _ in draws}) == len(draws)
     # Gaussian boxes scale one batch: 4 chunks of 2^16, not 4 per box
-    calls.clear()
+    draws.clear()
     sample_box_integrals(GAUSS1, [box(10.0), box(200.0), box(50.0)], 5,
                          range(200_000))
-    assert len(calls) == 4
+    assert sorted(k for k, _ in draws) == sorted(_batch_key(5, i) for i in range(4))
+
+
+def test_clt_grid_d1_box_draws_only_the_cells_it_reads(draws):
+    # 40 003 noise cells [-3, 40000): the halo tile below 0 whole, nine
+    # whole tiles, and the 3136-cell prefix of the last
+    sample_box_integrals(CLIPPED1, [box(10000.0)], 5, range(2))
+    assert [n for _, n in draws] == 2 * ([4096] * 10 + [3136])
+    assert sum(n for _, n in draws) == 2 * 44_096
+
+
+def test_block_tiles_are_drawn_to_the_last_block_read(draws):
+    blocks = FieldModel(d=1, kind="iid_block", m=1.0)
+    sample_box_integrals(blocks, [box(37.5), box(256.0)], 3, range(2))
+    assert [n for _, n in draws] == [256, 256]  # one tile for both boxes
+    draws.clear()
+    # 70 x 66 blocks on 64 x 64 tiles: the last cells read in C order are
+    # (63, 63), (63, 1), (5, 63) and (5, 1)
+    sample_box_integrals(dataclasses.replace(blocks, d=2), [box(70.0, 65.5)],
+                         3, range(1))
+    assert [n for _, n in draws] == [4096, 4034, 384, 322]
+
+
+_EDGE_WORDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]  # one or two uint32 words
+
+
+@given(seed=st.sampled_from(_EDGE_WORDS) | st.integers(0, 2 ** 64 - 1),
+       replicas=st.lists(st.sampled_from(_EDGE_WORDS) | st.integers(0, 2 ** 40),
+                         min_size=1, max_size=4),
+       tag=st.sampled_from([11, 13, 17]),
+       tiles=st.integers(1, 3).flatmap(lambda d: st.lists(
+           st.tuples(*[st.integers(-300, 300)] * d), min_size=1, max_size=4)))
+@example(seed=0, replicas=[0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1], tag=11,
+         tiles=[(-1,), (0,), (9,)])
+@example(seed=2 ** 32 - 1, replicas=[2 ** 32 + 7, 5], tag=13,
+         tiles=[(-1, -1), (0, 3)])
+@example(seed=2 ** 32, replicas=[3], tag=17, tiles=[(-1, 0, -2), (1, 1, 1)])
+@settings(max_examples=60, deadline=None)
+def test_philox_keys_match_seed_sequence(seed, replicas, tag, tiles):
+    keys = fields._philox_keys(seed, replicas, tag, tiles)
+    assert keys.shape == (len(replicas), len(tiles), 2)
+    for i, r in enumerate(replicas):
+        for j, t in enumerate(tiles):
+            entropy = [seed, r, tag] + [x + 2 ** 40 for x in t]
+            np.testing.assert_array_equal(
+                keys[i, j],
+                np.random.SeedSequence(entropy).generate_state(2, np.uint64))
+
+
+def test_philox_keys_refuse_a_tile_word_below_two_uint32_words():
+    # t + 2**40 below 2**32 would be one entropy word, not the two assumed
+    fields._philox_keys(0, [0], 11, [(2 ** 32 - 2 ** 40,)])
+    with pytest.raises(ValueError, match="tile index"):
+        fields._philox_keys(0, [0], 11, [(2 ** 32 - 2 ** 40 - 1,)])
+
+
+@pytest.mark.parametrize("tile", [(-1,), (3, 0), (0, -1, 2)])
+def test_keyed_draw_is_the_seed_sequence_stream(tile):
+    shape = (fields._TILE_LEN[len(tile)],) * len(tile)
+    entropy = [2 ** 40 + 9, 2 ** 32 + 1, 13] + [t + 2 ** 40 for t in tile]
+    want = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy))).standard_normal(shape)
+    key = fields._philox_keys(entropy[0], [entropy[1]], 13, [tile])[0, 0]
+    gen = np.random.Generator(np.random.Philox(0))
+    # whole, then a prefix: each draw starts the stream afresh
+    np.testing.assert_array_equal(
+        fields._draw_keyed(gen, key, np.empty(shape)), want)
+    np.testing.assert_array_equal(
+        fields._draw_keyed(gen, key, np.empty(1000)), want.reshape(-1)[:1000])
+
+
+def _reference_noise(seed, replica, lo, hi, tag=11):
+    # the streams' definition: each tile a fresh Philox(SeedSequence), drawn
+    # whole, its cells cut out of it
+    tl = fields._TILE_LEN[len(lo)]
+    out = np.empty([h - l for l, h in zip(lo, hi)])
+    for tile in product(*[range(l // tl, (h - 1) // tl + 1)
+                          for l, h in zip(lo, hi)]):
+        entropy = [seed, replica, tag] + [t + 2 ** 40 for t in tile]
+        block = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy))).standard_normal((tl,) * len(lo))
+        cut = [(max(l, t * tl), min(h, (t + 1) * tl))
+               for t, l, h in zip(tile, lo, hi)]
+        out[tuple(slice(a - l, b - l) for (a, b), l in zip(cut, lo))] = block[
+            tuple(slice(a - t * tl, b - t * tl) for (a, b), t in zip(cut, tile))]
+    return out
+
+
+@pytest.mark.parametrize("lo, hi", [((-3,), (9000,)), ((5000,), (5001,)),
+                                    ((-70, 5), (100, 200)),
+                                    ((-20, 5, 0), (10, 40, 17))])
+def test_white_noise_is_the_seed_sequence_tile_streams(lo, hi):
+    np.testing.assert_array_equal(white_noise(7, 2 ** 32 + 5, lo, hi, tag=13),
+                                  _reference_noise(7, 2 ** 32 + 5, lo, hi, 13))
+
+
+def _reference_block_integral(model, b, seed, replica):
+    # per replica: the box's whole block noise and fresh overlap weights
+    nblk = tuple(int(math.ceil(r / model.m - 1e-12)) for r in b.sides)
+    x = _reference_noise(seed, replica, (0,) * model.d, nblk, tag=13)
+    if model.nonlinearity == "clipped":
+        x = np.clip(x, -model.clip_level, model.clip_level)
+    overlaps = [np.array([min(r, (i + 1) * model.m) - i * model.m
+                          for i in range(n)]) for r, n in zip(b.sides, nblk)]
+    w = overlaps[0]
+    for o in overlaps[1:]:
+        w = np.multiply.outer(w, o)
+    return float((x * w).sum())
+
+
+@pytest.mark.parametrize("model, boxes", [
+    (FieldModel(d=1, kind="iid_block", m=1.0),
+     [box(37.5), box(256.0), box(5000.3), box(37.5)]),
+    (FieldModel(d=1, kind="iid_block", m=2.5, nonlinearity="clipped"),
+     [box(37.5), box(256.0)]),
+    (FieldModel(d=2, kind="iid_block", m=1.0, nonlinearity="clipped"),
+     [box(70.0, 65.5), box(3.0, 130.0)]),
+    (FieldModel(d=3, kind="iid_block", m=1.0), [box(17.0, 5.0, 9.5)]),
+])
+def test_block_integrals_match_per_replica_reference(model, boxes):
+    got = sample_box_integrals(model, boxes, 31, range(3))
+    for row, b in zip(got, boxes):
+        assert [float(x) for x in row] == [
+            _reference_block_integral(model, b, 31, i) for i in range(3)]
 
 
 def test_sample_integrals_is_the_one_box_pass():
@@ -251,21 +387,15 @@ def test_sample_integrals_is_the_one_box_pass():
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_gaussian_range_draws_only_its_batch_chunks(workers, monkeypatch):
+def test_gaussian_range_draws_only_its_batch_chunks(workers, draws):
     chunk = 1 << 16
     replicas = range(3 * chunk + 5, 4 * chunk + 9)
     full = np.concatenate(list(standard_batches(8, replicas.stop)))
-    calls = []
-    draw = fields._tile_noise
-
-    def counted(*args):
-        calls.append(args)
-        return draw(*args)
-
-    monkeypatch.setattr(fields, "_tile_noise", counted)
+    draws.clear()
     boxes = [box(10.0), box(200.0)]
     got = sample_box_integrals(GAUSS1, boxes, 8, replicas, workers)
-    assert sorted(c[1] for c in calls) == [3, 4]  # not the 3 chunks before
+    # not the 3 chunks before
+    assert sorted(k for k, _ in draws) == sorted(_batch_key(8, i) for i in (3, 4))
     np.testing.assert_array_equal(
         got, [discrete_box_std(GAUSS1, b) * full[replicas.start:]
               for b in boxes])
