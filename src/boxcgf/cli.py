@@ -2,7 +2,8 @@
 
 Usage: boxcgf <subcommand> --config cfg.json [--out DIR] [--seed N]
 [--workers N] [--format csv|json].  Exit code is 0 iff every non-flagged
-row passes.  The worker count sets how many threads the sampler runs over
+row passes; the verdict line on stderr counts the rows and names why rows
+were flagged.  The worker count sets how many threads the sampler runs over
 its fixed-size chunks: grid and block replicas, and the Gaussian batch,
 mdp's tail count included.  It never changes any output byte.
 """
@@ -10,10 +11,12 @@ mdp's tail count included.  It never changes any output byte.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
+from collections import Counter
 
 from .config import ConfigError, ExperimentConfig
-from .experiments import RUNNERS
+from .experiments import RUNNERS, SCIPY_MODULES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,6 +60,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: workers must be >= 1", file=sys.stderr)
         return 2
 
+    if args.command in SCIPY_MODULES:  # load it here, not inside the run
+        importlib.import_module(SCIPY_MODULES[args.command])
     report = RUNNERS[args.command](cfg, workers=args.workers)
     if args.out is not None:
         path = report.write(args.out, fmt=args.format)
@@ -64,14 +69,21 @@ def main(argv: list[str] | None = None) -> int:
     else:
         out = report.to_csv() if args.format == "csv" else report.to_json()
         sys.stdout.write(out)
-    n_flagged = sum(1 for r in report.rows if r.get("flagged"))
-    n_pass = sum(1 for r in report.rows
-                 if not r.get("flagged") and r.get("pass"))
-    n_rows = len(report.rows) - n_flagged
-    print(f"{args.command}: {n_pass}/{n_rows} rows pass"
-          + (f" ({n_flagged} flagged)" if n_flagged else ""),
-          file=sys.stderr)
+    print(_summary(args.command, report.rows), file=sys.stderr)
     return 0 if report.all_pass else 1
+
+
+def _summary(command: str, rows: list[dict]) -> str:
+    """The stderr verdict line; it names the flagged rows' three most
+    frequent notes with their counts."""
+    flagged = [r for r in rows if r.get("flagged")]
+    n_pass = sum(1 for r in rows if not r.get("flagged") and r.get("pass"))
+    line = f"{command}: {n_pass}/{len(rows) - len(flagged)} rows pass"
+    if not flagged:
+        return line
+    notes = Counter(r["note"] for r in flagged if r.get("note"))
+    reasons = "; ".join(f"{k}× {note}" for note, k in notes.most_common(3))
+    return f"{line} ({len(flagged)} flagged{': ' + reasons if reasons else ''})"
 
 
 if __name__ == "__main__":

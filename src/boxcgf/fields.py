@@ -25,7 +25,7 @@ from functools import partial, reduce
 from itertools import product
 
 import numpy as np
-from scipy.integrate import quad
+import numpy.random  # the sampler's RNG, loaded with the module, not mid-run
 
 from .boxes import Box
 
@@ -454,6 +454,8 @@ def _axis_covariance(model: FieldModel, u: float) -> float:
         return 0.0
     if model.kernel == "indicator":
         return model.amplitude ** 2 * (m - abs(u))
+    from scipy.integrate import quad
+
     # piecewise-linear integrand: pass its kink locations to the quadrature
     kinks = [p for p in (m / 2.0, m / 2.0 - abs(u), m - abs(u)) if 0.0 < p < m]
     val, _ = quad(lambda s: kernel_weight(model, s) * kernel_weight(model, s + abs(u)),
@@ -468,6 +470,8 @@ def _axis_variance(model: FieldModel, r: float) -> float:
     if model.kernel == "indicator":
         amp2 = model.amplitude ** 2
         return 2.0 * amp2 * (r * m * a - (r + m) * a * a / 2.0 + a ** 3 / 3.0)
+    from scipy.integrate import quad
+
     val, _ = quad(lambda u: (r - u) * _axis_covariance(model, u), 0.0, a,
                   points=[m / 2.0] if m / 2.0 < a else None, limit=200)
     return 2.0 * val

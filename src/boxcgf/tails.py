@@ -149,9 +149,13 @@ def mdp_parameters(eps: float, sigma: float, c61: float, w: float,
 
 
 def log_normal_tail(x: float) -> float:
-    """log of the standard normal upper tail (exact oracle)."""
-    from scipy.stats import norm
-    return float(norm.logsf(x))
+    """log of the standard normal upper tail (exact oracle).
+
+    ``log_ndtr(-x)`` is what ``scipy.stats.norm.logsf(x)`` evaluates,
+    without loading ``scipy.stats``.
+    """
+    from scipy.special import log_ndtr
+    return float(log_ndtr(-x))
 
 
 def log_normal_tail_brackets(x: float) -> tuple[float, float]:

@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent import futures
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from boxcgf.boxes import Box, vol
 from boxcgf.cgf import Z95
 from boxcgf.cli import main
 from boxcgf.config import ConfigError, ExperimentConfig
-from boxcgf.experiments import RUNNERS
+from boxcgf.experiments import RUNNERS, SCIPY_MODULES
 from boxcgf.fields import (REPLICA_CHUNK, FieldModel, discrete_box_std,
                            exact_sigma2, sample_box_integrals,
                            sample_integrals)
@@ -495,6 +498,36 @@ def test_cli_failing_rows_exit_1(tmp_path, monkeypatch):
     assert main(["lrp", "--config", str(path)]) == 1
 
 
+def test_cli_summary_names_flag_reasons(tmp_path, monkeypatch, capsys):
+    import boxcgf.cli
+
+    notes = ["a", "b", "b", "c", "b", "c", "d", ""]
+
+    def flagging_runner(cfg, workers=1):
+        rep = ExperimentReport(name="audit", columns=["pass", "note", "flagged"])
+        for note in notes:
+            rep.add_row(**{"pass": True}, note=note, flagged=True)
+        rep.add_row(**{"pass": True}, note="not flagged", flagged=False)
+        return rep
+
+    monkeypatch.setitem(boxcgf.cli.RUNNERS, "audit", flagging_runner)
+    assert main(["audit", "--config", str(write_config(tmp_path)),
+                 "--out", str(tmp_path / "out")]) == 0
+    # most frequent first, ties in row order, at most three notes
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "audit: 1/1 rows pass (8 flagged: 3× b; 2× c; 1× a)")
+
+
+def test_cli_summary_of_the_audit_default(tmp_path, capsys):
+    assert main(["audit", "--config", str(CONFIGS / "audit_gaussian_d1.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "audit: 0/0 rows pass (3 flagged: "
+        "1× lower envelope annihilated at level 4; "
+        "1× lower envelope annihilated at level 6; "
+        "1× lower envelope annihilated at level 8)")
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # First 16 hex digits of the sha256 of each default config's CSV, recorded
 # with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1: the sampled values and
@@ -516,4 +549,68 @@ def test_default_config_csv_bytes(name, tmp_path):
     main([command, "--config", str(CONFIGS / f"{name}.json"),
           "--out", str(tmp_path)])
     csv = (tmp_path / f"{command}.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest()[:16] == DEFAULT_CSV_SHA256[name]
+
+
+SRC = str(Path(experiments.__file__).resolve().parent.parent)
+FRESH_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+# Runs the CLI in this fresh interpreter and prints, as JSON, the modules
+# that entered sys.modules while the runner ran.  argv[1] == "1" makes
+# scipy unimportable first.
+FRESH_RUN = """
+import json, sys
+if sys.argv[1] == "1":
+    sys.modules["scipy"] = None
+from boxcgf import cli
+runner = cli.RUNNERS[sys.argv[2]]
+loaded = []
+
+def watched(cfg, workers=1):
+    before = set(sys.modules)
+    report = runner(cfg, workers=workers)
+    loaded.extend(sorted(set(sys.modules) - before))
+    return report
+
+cli.RUNNERS[sys.argv[2]] = watched
+code = cli.main(sys.argv[2:])
+print(json.dumps(loaded))
+sys.exit(code)
+"""
+
+
+def fresh_run(name: str, out: Path, block_scipy: bool) -> tuple[list, bytes]:
+    """(modules the runner loaded, CSV bytes) of a default config at one
+    worker, run in a new interpreter."""
+    command = name.split("_")[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, "1" if block_scipy else "0", command,
+         "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)],
+        capture_output=True, text=True, env=FRESH_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout), (out / f"{command}.csv").read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, boxcgf.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=FRESH_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_default_runner_imports_nothing(name, tmp_path):
+    # every module a run needs, scipy's included (SCIPY_MODULES), is
+    # loaded before the runner starts
+    loaded, _ = fresh_run(name, tmp_path, block_scipy=False)
+    assert loaded == []
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in CONFIGS.glob("*.json")
+    if p.stem.split("_")[0] not in SCIPY_MODULES))
+def test_default_config_runs_without_scipy(name, tmp_path):
+    _, csv = fresh_run(name, tmp_path, block_scipy=True)
     assert hashlib.sha256(csv).hexdigest()[:16] == DEFAULT_CSV_SHA256[name]

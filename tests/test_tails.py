@@ -1,9 +1,13 @@
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxcgf.config import ExperimentConfig
+from boxcgf.fields import exact_box_variance, exact_sigma2
 from boxcgf.tails import (TailBoundError, TailSandwich, chernoff_upper,
                           log_normal_tail, log_normal_tail_brackets,
                           mdp_parameters, tail_sandwich, tilt_internals)
@@ -101,3 +105,18 @@ def test_mills_brackets_contain_exact_tail(x):
 def test_mills_brackets_need_x_above_one():
     with pytest.raises(TailBoundError):
         log_normal_tail_brackets(0.5)
+
+
+def test_log_normal_tail_is_norm_logsf_bit_for_bit():
+    from scipy.stats import norm
+    # a grid over [-10, 40], and every argument the mdp default evaluates
+    grid = np.linspace(-10.0, 40.0, 20_001)
+    assert [log_normal_tail(float(x)) for x in grid] == norm.logsf(grid).tolist()
+    cfg = ExperimentConfig.from_json(
+        Path(__file__).resolve().parent.parent / "configs" / "mdp_gaussian_d1.json")
+    sigma = math.sqrt(exact_sigma2(cfg.model))
+    for b in cfg.boxes:
+        sigma_r = math.sqrt(exact_box_variance(cfg.model, b) / math.prod(b.sides))
+        for c in cfg.c_grid:
+            x = c * sigma / sigma_r
+            assert log_normal_tail(x) == float(norm.logsf(x))
