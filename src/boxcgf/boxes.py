@@ -9,10 +9,7 @@ each halving, width(B/2) = min(width B, length B / 2).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-
-_MIN_NORMAL = sys.float_info.min
 
 
 class BoxError(ValueError):
@@ -43,9 +40,8 @@ class Multiindex:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for a in self.entries:
-            if not isinstance(a, int) or a < 0:
-                raise BoxError(f"multiindex entries must be nonnegative ints: {self.entries}")
+        if any((not isinstance(a, int)) or a < 0 for a in self.entries):
+            raise BoxError(f"multiindex entries must be nonnegative ints: {self.entries}")
 
     @property
     def order(self) -> int:
@@ -64,59 +60,19 @@ def length(b: Box) -> float:
     return max(b.sides)
 
 
-def _derived(sides: tuple[float, ...]) -> Box:
-    """A box from sides its caller has already checked positive."""
-    b = object.__new__(Box)
-    object.__setattr__(b, "sides", sides)
-    return b
-
-
 def halve(b: Box) -> Box:
     """Halve the longest side (ties broken to the smallest index)."""
     sides = b.sides
     k = sides.index(max(sides))
-    half = sides[k] * 0.5
-    if half <= 0.0:
-        raise BoxError(f"halving {sides} underflows a side to zero")
-    return _derived(sides[:k] + (half,) + sides[k + 1:])
+    return Box(sides[:k] + (sides[k] * 0.5,) + sides[k + 1:])
 
 
 def halve_n(b: Box, n: int) -> Box:
-    """Halve ``b`` n times, each time as :func:`halve` does.
-
-    Halving by 0.5 is exact, so a single side halved n times is one
-    multiplication by 2^-n while the result stays a normal float; two
-    and three sides run the greedy loop on unpacked floats.
-    """
     if n < 0:
         raise BoxError("halving count must be nonnegative")
     if n == 0:
         return b
-    sides = b.sides
-    d = len(sides)
-    if d == 1:
-        r = sides[0] * 2.0 ** -n
-        if r > _MIN_NORMAL:
-            return _derived((r,))
-    elif d == 2:
-        x, y = sides
-        for _ in range(n):
-            if x >= y:
-                x *= 0.5
-            else:
-                y *= 0.5
-        return Box((x, y))
-    elif d == 3:
-        x, y, z = sides
-        for _ in range(n):
-            if x >= y and x >= z:
-                x *= 0.5
-            elif y >= z:
-                y *= 0.5
-            else:
-                z *= 0.5
-        return Box((x, y, z))
-    sides = list(sides)
+    sides = list(b.sides)
     for _ in range(n):
         k = sides.index(max(sides))
         sides[k] *= 0.5
@@ -133,40 +89,30 @@ def normalize_to_scale(b: Box, C: float) -> int:
     """
     if C <= 0.0:
         raise BoxError("scale must be positive")
-    sides = b.sides
-    if C > min(sides):
+    if C > min(b.sides):
         raise BoxError("scale exceeds width")
     n = 0
     lo = 2.0 * C
-    frexp = math.frexp
-    for r in sides:
-        a = frexp(r / C)[1] - 1  # r >= C, so r / C >= 1 and a >= 0
-        x = r * 2.0 ** -a
-        while x < C:  # correct float rounding in the exponent
+    for r in b.sides:
+        a = max(0, math.frexp(r / C)[1] - 1)
+        while r * 2.0 ** -a < C:  # correct float rounding in the exponent
             a -= 1
-            x = r * 2.0 ** -a
-        while x >= lo:
+        while r * 2.0 ** -a >= lo:
             a += 1
-            x = r * 2.0 ** -a
         n += a
-    d = len(sides)
-    v = math.prod(sides)
-    cd2n = C ** d * 2.0 ** n
-    if not (2.0 ** -d * v < cd2n * (1 + 1e-12) and cd2n <= v * (1 + 1e-12)):
+    v = vol(b)
+    cd2n = C ** b.d * 2.0 ** n
+    if not (2.0 ** (-b.d) * v < cd2n * (1 + 1e-12) and cd2n <= v * (1 + 1e-12)):
         raise BoxError(f"normalization of {b.sides} to scale {C} gave n={n} "
                        "outside the volume bracket")
     return n
 
 
 def dyadic_scale(b: Box, alpha: Multiindex) -> Box:
-    sides = b.sides
-    entries = alpha.entries
-    if len(entries) != len(sides):
+    if len(alpha.entries) != b.d:
         raise BoxError("multiindex dimension does not match box dimension")
-    # doubling a positive side keeps it positive
-    return _derived(tuple([s * 2.0 ** a for s, a in zip(sides, entries)]))
+    return Box(tuple(s * float(2 ** a) for s, a in zip(b.sides, alpha.entries)))
 
 
 def is_near_cube(b: Box) -> bool:
-    sides = b.sides
-    return max(sides) < 2.0 * min(sides)
+    return max(b.sides) < 2.0 * min(b.sides)

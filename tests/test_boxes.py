@@ -63,33 +63,6 @@ def test_halve_n_matches_iterated_halve(sides, n):
     assert halve_n(b, n).sides == expect.sides
 
 
-@given(st.lists(st.sampled_from([0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]),
-                min_size=1, max_size=4).map(tuple),
-       st.integers(min_value=0, max_value=40))
-def test_halve_n_matches_iterated_halve_on_ties(sides, n):
-    b = Box(sides)
-    expect = b
-    for _ in range(n):
-        expect = halve(expect)
-    assert halve_n(b, n).sides == expect.sides
-
-
-@pytest.mark.parametrize("side,n", [(1e-300, 60), (3e-308, 5), (5e-324, 0)])
-def test_halve_n_into_subnormal_sides_matches_iterated_halve(side, n):
-    expect = box(side)
-    for _ in range(n):
-        expect = halve(expect)
-    assert halve_n(box(side), n).sides == expect.sides
-
-
-def test_halving_a_side_to_zero_is_refused():
-    for sides in [(5e-324,) * d for d in (1, 2, 3, 4)]:
-        with pytest.raises(BoxError):
-            halve(Box(sides))
-        with pytest.raises(BoxError):
-            halve_n(Box(sides), 40)
-
-
 def test_halve_n_rejects_negative():
     with pytest.raises(BoxError):
         halve_n(box(4.0), -1)
