@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -210,13 +209,12 @@ def slope_step(lam: float, mu: float, b: Box, params: EngineParams,
             "case_a_holds": case_a_holds, "case_b_holds": case_b_holds}
 
 
-@lru_cache(maxsize=1)  # an audit row climbs its (B, n) up, then down
-def _halvings(b: Box, n: int) -> tuple[Box, ...]:
-    """(B, B/2, ..., B/2^(n-1)), one ``halve`` per level."""
+def _halvings(b: Box, n: int) -> list[Box]:
+    """[B, B/2, ..., B/2^(n-1)], one ``halve`` per level."""
     levels = [b]
     for _ in range(n - 1):
         levels.append(halve(levels[-1]))
-    return tuple(levels[:n])
+    return levels[:n]
 
 
 def _climb(a: float, delta: float, b: Box, n: int, params: EngineParams,

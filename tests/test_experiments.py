@@ -579,13 +579,13 @@ sys.exit(code)
 """
 
 
-def fresh_run(name: str, out: Path, block_scipy: bool) -> tuple[list, bytes]:
-    """(modules the runner loaded, CSV bytes) of a default config at one
-    worker, run in a new interpreter."""
-    command = name.split("_")[0]
+def fresh_run(command: str, config: Path, out: Path,
+              block_scipy: bool) -> tuple[list, bytes]:
+    """(modules the runner loaded, CSV bytes) of a config at one worker,
+    run in a new interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_RUN, "1" if block_scipy else "0", command,
-         "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)],
+         "--config", str(config), "--out", str(out)],
         capture_output=True, text=True, env=FRESH_ENV)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout), (out / f"{command}.csv").read_bytes()
@@ -603,8 +603,14 @@ def test_cli_import_loads_no_scipy():
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
 def test_default_runner_imports_nothing(name, tmp_path):
     # every module a run needs, scipy's included (SCIPY_MODULES), is
-    # loaded before the runner starts
-    loaded, _ = fresh_run(name, tmp_path, block_scipy=False)
+    # loaded before the runner starts; the same model and subcommand on
+    # fewer replicas take the same code paths
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg["n_replicas"] = min(cfg["n_replicas"], 500)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    loaded, _ = fresh_run(name.split("_")[0], config, tmp_path,
+                          block_scipy=False)
     assert loaded == []
 
 
@@ -612,5 +618,6 @@ def test_default_runner_imports_nothing(name, tmp_path):
     p.stem for p in CONFIGS.glob("*.json")
     if p.stem.split("_")[0] not in SCIPY_MODULES))
 def test_default_config_runs_without_scipy(name, tmp_path):
-    _, csv = fresh_run(name, tmp_path, block_scipy=True)
+    _, csv = fresh_run(name.split("_")[0], CONFIGS / f"{name}.json",
+                       tmp_path, block_scipy=True)
     assert hashlib.sha256(csv).hexdigest()[:16] == DEFAULT_CSV_SHA256[name]
