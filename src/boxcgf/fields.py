@@ -6,13 +6,17 @@ step ``grid_h``.  Finite kernel support makes every model m-dependent,
 which is the concrete stand-in for the structural splitting property the
 bound calculus assumes.
 
-Noise is counter-based.  Cells are grouped in tiles, and tile t of a
-replica is the stream ``Philox(SeedSequence([seed, replica, tag,
-*(t + 2**40)]))`` read in C order, so each cell's standard normal depends
-only on (seed, replica, tag, cell): overlapping boxes share noise and
-parallel evaluation cannot change any value.  The Philox keys of all the
-streams a call needs are derived in one vectorised pass of SeedSequence's
-hash, and a tile is drawn only up to the last cell read (a Philox
+Noise is counter-based.  Cells are grouped in tiles of the shape
+``_TILE_SHAPE[d]``: 4096 cells in d = 1, 64 x 64 in d = 2, 64 x 8 x 8 in
+d = 3 and 8 per axis above.  Tile t of a replica is the stream
+``Philox(SeedSequence([seed, replica, tag, *(t + 2**40)]))`` read in C
+order, so each cell's standard normal depends only on (seed, replica,
+tag, cell): overlapping boxes share noise and parallel evaluation cannot
+change any value.  The grid noise lattice starts at the halo corner: a
+box of n points per axis reads the noise cells [0, n + k - 1) for k taps,
+so its halo costs no tile below 0.  The Philox keys of all the streams a
+call needs are derived in one vectorised pass of SeedSequence's hash, and
+a tile is drawn only up to the last cell read (a Philox
 ``standard_normal(n)`` is the prefix of every longer draw).
 """
 
@@ -29,7 +33,11 @@ import numpy.random  # the sampler's RNG, loaded with the module, not mid-run
 
 from .boxes import Box
 
-_TILE_LEN = {1: 4096, 2: 64, 3: 16}
+# 4096 cells each.  A tile is drawn only up to its last cell read in C
+# order, so cells of the first axis beyond a box cost nothing, while each
+# later axis can waste up to its edge less one cell per line: hence a
+# long first axis and short later ones.
+_TILE_SHAPE = {1: (4096,), 2: (64, 64), 3: (64, 8, 8)}
 _GRID_TAG = 11  # stream domain tags keep grid noise and block noise disjoint
 _BLOCK_TAG = 13
 _BATCH_TAG = 17
@@ -195,30 +203,31 @@ def _replica_noise(seed: int, tag: int,
     cell ranges [lo, hi): one array per range, refilled in place for the
     next replica.
 
-    Each noise tile (edge tl) that the ranges touch is drawn once per
-    replica, with the keys of every (replica, tile) stream derived up front
-    in one pass.  One generator draws a tile only up to the last cell that
-    a range reads, in C order: straight into a range's buffer where that
-    prefix is all it reads, and else into a tile buffer the ranges copy from.
+    Each noise tile (of shape ``_TILE_SHAPE[d]``, or 8 cells per axis in
+    d >= 4) that the ranges touch is drawn once per replica, with the keys
+    of every (replica, tile) stream derived up front in one pass.  One generator
+    draws a tile only up to the last cell that a range reads, in C order:
+    straight into a range's buffer where that prefix is all it reads, and
+    else into a tile buffer the ranges copy from.
     """
     d = len(ranges[0][0])
-    tl = _TILE_LEN.get(d, 8)
+    shape = _TILE_SHAPE.get(d, (8,) * d)
     plan: dict[tuple[int, ...], list[tuple]] = {}  # tile -> (range, dst, src, end)
     for i, (lo, hi) in enumerate(ranges):
         for tile in product(*[range(l // tl, (h - 1) // tl + 1)
-                              for l, h in zip(lo, hi)]):
+                              for l, h, tl in zip(lo, hi, shape)]):
             cuts = [(max(l, t * tl), min(h, (t + 1) * tl), l, t * tl)
-                    for t, l, h in zip(tile, lo, hi)]
+                    for t, l, h, tl in zip(tile, lo, hi, shape)]
             dst = tuple(slice(a - l, b - l) for a, b, l, _ in cuts)
             src = tuple(slice(a - t0, b - t0) for a, b, _, t0 in cuts)
             last = [s.stop - 1 for s in src]
-            end = 1 + int(np.ravel_multi_index(last, (tl,) * d))
+            end = 1 + int(np.ravel_multi_index(last, shape))
             plan.setdefault(tile, []).append((i, dst, src, end))
     # the keys' temporaries are freed before any buffer is allocated
     keys = _philox_keys(seed, replicas, tag,
                         np.array(sorted(plan), dtype=np.int64).reshape(-1, d))
     noise = [np.empty(tuple(h - l for l, h in zip(lo, hi))) for lo, hi in ranges]
-    tile_buf = np.empty((tl,) * d)
+    tile_buf = np.empty(shape)
     steps = []
     for _, parts in sorted(plan.items()):
         views = [(noise[i][dst], src, end) for i, dst, src, end in parts]
@@ -244,7 +253,9 @@ def white_noise(seed: int, replica: int, lo: tuple[int, ...], hi: tuple[int, ...
     """Standard normals for the absolute cell ranges [lo_k, hi_k).
 
     Cell values depend only on (seed, replica, tag, absolute cell index),
-    never on the requested ranges, so overlapping requests agree.
+    never on the requested ranges, so overlapping requests agree.  Cell c
+    lies in the tile ``c // shape`` (per axis, with the tile shape
+    ``_TILE_SHAPE[d]``), so cells below 0 lie in tiles below 0.
     """
     return next(_replica_noise(seed, tag, [(lo, hi)], [replica]))[0]
 
@@ -290,12 +301,15 @@ def _grid_integrals(model: FieldModel, boxes: list[Box], seed: int,
                     replicas: range) -> np.ndarray:
     """The grid simulation of every box at every replica, in one pass.
 
-    A replica draws each tile of the boxes' union once into the boxes'
-    noise buffers; buffers and scratch live for the whole call, and the
-    in-place operations are those of fresh arrays, in the same order.
+    A box of n points per axis reads the noise cells [0, n + k - 1) for
+    k taps: noise cell j feeds the outputs j - k + 1 ... j.  A replica
+    draws each tile of the boxes' union once into the boxes' noise
+    buffers; buffers and scratch live for the whole call, and the in-place
+    operations are those of fresh arrays, in the same order.
     """
     h, d, taps = model.grid_h, model.d, _taps(model)
-    ranges = [((1 - len(taps),) * d, _grid_points(model, b)) for b in boxes]
+    ranges = [((0,) * d, tuple(n + len(taps) - 1 for n in _grid_points(model, b)))
+              for b in boxes]
     out = np.empty((len(boxes), len(replicas)))
     for col, noise in enumerate(_replica_noise(seed, _GRID_TAG, ranges, replicas)):
         if col == 0:  # allocated after the noise keys' temporaries are freed

@@ -74,7 +74,7 @@ def test_estimate_interpolation_flag():
         est.value_at(0.5)
 
 
-@pytest.mark.parametrize("seed", [17, 18, 31, 48])
+@pytest.mark.parametrize("seed", [6, 27, 31, 48])
 def test_estimate_survives_mean_outside_its_ci(seed):
     # on these seeds the sample mean lies outside its own 95% interval, so
     # f < -ci at small |lambda|; that is no fault, only Jensen must hold

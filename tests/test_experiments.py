@@ -355,17 +355,20 @@ def test_one_worker_starts_no_thread(monkeypatch):
 
 
 def test_grid_path_workers_do_not_change_results():
-    cfg = small_config(
-        model={"d": 1, "kind": "bounded_nonlinear_ma", "m": 1.0,
+    clipped = {"d": 1, "kind": "bounded_nonlinear_ma", "m": 1.0,
                "kernel": "indicator", "nonlinearity": "clipped",
-               "clip_level": 1.0, "grid_h": 0.25, "amplitude": 1.0},
-        boxes=[[6.0], [20.0]], n_samples=1000, n_replicas=2500,
-        additivity_pairs=[])
-    # a short last chunk; the audit estimates the base of box 20
-    assert cfg.n_samples % REPLICA_CHUNK and cfg.n_replicas % REPLICA_CHUNK
-    for name in ("lrp", "mdp", "audit", "clt", "additivity"):
-        outs = {w: RUNNERS[name](cfg, workers=w).to_csv() for w in (1, 2, 4)}
-        assert outs[1] == outs[2] == outs[4], f"{name} differs across workers"
+               "clip_level": 1.0, "grid_h": 0.25, "amplitude": 1.0}
+    for model, boxes, n_replicas in (
+            (clipped, [[6.0], [20.0]], 2500),
+            (dict(clipped, d=3), [[2.0, 2.0, 2.0], [3.0, 2.5, 1.5]], 600)):
+        cfg = small_config(model=model, boxes=boxes, n_samples=1000,
+                           n_replicas=n_replicas, additivity_pairs=[])
+        # a short last chunk; in d = 1 the audit estimates the base of box 20
+        assert cfg.n_samples % REPLICA_CHUNK and cfg.n_replicas % REPLICA_CHUNK
+        for name in ("lrp", "mdp", "audit", "clt", "additivity"):
+            outs = {w: RUNNERS[name](cfg, workers=w).to_csv() for w in (1, 2, 4)}
+            assert outs[1] == outs[2] == outs[4], (
+                f"{name} differs across workers in d = {cfg.model.d}")
 
 
 def test_report_pass_semantics():
@@ -537,7 +540,8 @@ DEFAULT_CSV_SHA256 = {
     "audit_gaussian_d1": "7e6812b393fa90bb",
     "audit_gaussian_d2": "741b9f2db235944a",
     "calibrate_gaussian_d1": "1137bb9800c9ff1b",
-    "clt_nonlinear_d1": "642201dea39b46e2",
+    "clt_gaussian_d3": "aad2bf2b4d5379ee",
+    "clt_nonlinear_d1": "ad94058156ec64ee",
     "lrp_gaussian_d1": "99be8d4a01036ad3",
     "mdp_gaussian_d1": "ecc0b2079edf388d",
 }

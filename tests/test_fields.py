@@ -181,10 +181,11 @@ def test_valid_correlate_matches_per_line_convolve(d, kernel, n_taps):
 
 
 def _fresh_integral(model, b, seed, replica):
-    # reference: the box's own noise, per-line correlation and fresh arrays
+    # reference: the box's own noise from the halo corner at cell 0,
+    # per-line correlation and fresh arrays
     taps = _taps(model)
-    lo = (1 - len(taps),) * model.d
-    noise = white_noise(seed, replica, lo, _grid_points(model, b))
+    hi = tuple(n + len(taps) - 1 for n in _grid_points(model, b))
+    noise = white_noise(seed, replica, (0,) * model.d, hi)
     g = (model.grid_h ** (model.d / 2.0)) * _per_line_correlate(noise, taps)
     if model.nonlinearity == "clipped":
         g = np.clip(g, -model.clip_level, model.clip_level)
@@ -194,6 +195,8 @@ def _fresh_integral(model, b, seed, replica):
 CLIPPED1 = FieldModel(d=1, kind="bounded_nonlinear_ma", m=1.0,
                       nonlinearity="clipped")
 GRID3 = FieldModel(d=3, kind="bounded_nonlinear_ma", m=1.0)
+GRID4 = FieldModel(d=4, kind="bounded_nonlinear_ma", m=1.0,
+                   nonlinearity="clipped")
 
 
 @pytest.mark.parametrize("model, boxes, replicas", [
@@ -204,6 +207,8 @@ GRID3 = FieldModel(d=3, kind="bounded_nonlinear_ma", m=1.0)
     (dataclasses.replace(CLIPPED1, d=2, clip_level=0.5),
      [box(40.0, 2.0), box(2.0, 40.0)], range(3)),
     (CLIPPED1, [box(30.0), box(1500.0)], range(7, 11)),
+    # d = 4 takes the fallback tile shape, 8 cells per axis
+    (GRID4, [box(2.0, 1.5, 1.0, 3.0)], range(2)),
 ])
 def test_sample_box_integrals_match_per_replica_integrals(model, boxes,
                                                           replicas):
@@ -237,14 +242,18 @@ def _batch_key(seed, chunk):
 
 
 def test_sample_box_integrals_draw_each_tile_once_per_replica(draws):
+    # noise 35^3 and 43 x 35 x 27 cells on 64 x 8 x 8 tiles: 1 x 5 x 5
+    # and 1 x 5 x 4 tiles, 45 draws when sampled apart
     cube, slab = box(8.0, 8.0, 8.0), box(10.0, 8.0, 6.0)
-    for b, tiles in ((cube, 27), (slab, 36)):  # 63 draws when sampled apart
+    for b, tiles in ((cube, 25), (slab, 20)):
         draws.clear()
         sample_box_integrals(GRID3, [b], 5, range(1))
         assert len(draws) == tiles
     draws.clear()
     sample_box_integrals(GRID3, [cube, slab], 5, range(3))
-    assert len(draws) == 3 * 36 and len({k for k, _ in draws}) == len(draws)
+    assert len(draws) == 3 * 25 and len({k for k, _ in draws}) == len(draws)
+    # the union reads 35^3 + 43 x 35 x 27 - 35 x 35 x 27 = 50 435 cells
+    assert sum(n for _, n in draws) <= 3 * 1.35 * 50_435
     # Gaussian boxes scale one batch: 4 chunks of 2^16, not 4 per box
     draws.clear()
     sample_box_integrals(GAUSS1, [box(10.0), box(200.0), box(50.0)], 5,
@@ -253,11 +262,11 @@ def test_sample_box_integrals_draw_each_tile_once_per_replica(draws):
 
 
 def test_clt_grid_d1_box_draws_only_the_cells_it_reads(draws):
-    # 40 003 noise cells [-3, 40000): the halo tile below 0 whole, nine
-    # whole tiles, and the 3136-cell prefix of the last
+    # 40 003 noise cells [0, 40003): nine whole tiles and the 3139-cell
+    # prefix of the last
     sample_box_integrals(CLIPPED1, [box(10000.0)], 5, range(2))
-    assert [n for _, n in draws] == 2 * ([4096] * 10 + [3136])
-    assert sum(n for _, n in draws) == 2 * 44_096
+    assert [n for _, n in draws] == 2 * ([4096] * 9 + [3139])
+    assert sum(n for _, n in draws) == 2 * 40_003
 
 
 def test_block_tiles_are_drawn_to_the_last_block_read(draws):
@@ -305,9 +314,14 @@ def test_philox_keys_refuse_a_tile_word_below_two_uint32_words():
         fields._philox_keys(0, [0], 11, [(2 ** 32 - 2 ** 40 - 1,)])
 
 
-@pytest.mark.parametrize("tile", [(-1,), (3, 0), (0, -1, 2)])
+def _tile_shape(d):
+    # the tile shapes as the streams define them
+    return {1: (4096,), 2: (64, 64), 3: (64, 8, 8)}.get(d, (8,) * d)
+
+
+@pytest.mark.parametrize("tile", [(-1,), (3, 0), (0, -1, 2), (1, 0, -2, 0)])
 def test_keyed_draw_is_the_seed_sequence_stream(tile):
-    shape = (fields._TILE_LEN[len(tile)],) * len(tile)
+    shape = _tile_shape(len(tile))
     entropy = [2 ** 40 + 9, 2 ** 32 + 1, 13] + [t + 2 ** 40 for t in tile]
     want = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy))).standard_normal(shape)
@@ -323,23 +337,25 @@ def test_keyed_draw_is_the_seed_sequence_stream(tile):
 def _reference_noise(seed, replica, lo, hi, tag=11):
     # the streams' definition: each tile a fresh Philox(SeedSequence), drawn
     # whole, its cells cut out of it
-    tl = fields._TILE_LEN[len(lo)]
+    shape = _tile_shape(len(lo))
     out = np.empty([h - l for l, h in zip(lo, hi)])
     for tile in product(*[range(l // tl, (h - 1) // tl + 1)
-                          for l, h in zip(lo, hi)]):
+                          for l, h, tl in zip(lo, hi, shape)]):
         entropy = [seed, replica, tag] + [t + 2 ** 40 for t in tile]
         block = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy))).standard_normal((tl,) * len(lo))
+            np.random.SeedSequence(entropy))).standard_normal(shape)
         cut = [(max(l, t * tl), min(h, (t + 1) * tl))
-               for t, l, h in zip(tile, lo, hi)]
+               for t, l, h, tl in zip(tile, lo, hi, shape)]
         out[tuple(slice(a - l, b - l) for (a, b), l in zip(cut, lo))] = block[
-            tuple(slice(a - t * tl, b - t * tl) for (a, b), t in zip(cut, tile))]
+            tuple(slice(a - t * tl, b - t * tl)
+                  for (a, b), t, tl in zip(cut, tile, shape))]
     return out
 
 
 @pytest.mark.parametrize("lo, hi", [((-3,), (9000,)), ((5000,), (5001,)),
                                     ((-70, 5), (100, 200)),
-                                    ((-20, 5, 0), (10, 40, 17))])
+                                    ((-20, 5, 0), (70, 40, 17)),
+                                    ((-3, 0, 5, -9), (9, 3, 17, 1))])
 def test_white_noise_is_the_seed_sequence_tile_streams(lo, hi):
     np.testing.assert_array_equal(white_noise(7, 2 ** 32 + 5, lo, hi, tag=13),
                                   _reference_noise(7, 2 ** 32 + 5, lo, hi, 13))
