@@ -131,10 +131,15 @@ def estimate_cgf(model: FieldModel, b: Box, lambdas, n_samples: int,
     return CgfEstimate(b, lam, f, ci, reliable, n_samples)
 
 
+def exact_coeff(model: FieldModel, b: Box) -> float:
+    """The Gaussian f_B(lam) / lam^2 = Var(I_B) / (2 vol B), in closed form."""
+    return 0.5 * exact_box_variance(model, b) / vol(b)
+
+
 def exact_cgf(model: FieldModel, b: Box, lambdas) -> CgfEstimate:
     """Closed-form Gaussian CGF packaged as an exact estimate."""
     lam = np.asarray(lambdas, dtype=float)
-    coeff = 0.5 * exact_box_variance(model, b) / vol(b)
+    coeff = exact_coeff(model, b)
     f = coeff * lam * lam
     zeros = np.zeros(lam.shape)
     return CgfEstimate(b, lam, f, zeros, np.ones(lam.shape, dtype=bool),
@@ -153,12 +158,51 @@ def delta_cap(v: float, C: float, d: int) -> float:
     return math.sqrt(s) / (C * log_pow(s, d - 1))
 
 
+def lambda_grids(deltas, points_per_decade: int = 32,
+                 decades: float = 3.0) -> np.ndarray:
+    """One ``lambda_grid`` per row, row i on [-deltas[i], deltas[i]].
+
+    The endpoints come from ``math.log10``; numpy only spaces them, so
+    every row equals its one-row grid to the bit.
+    """
+    top = np.array([math.log10(dl) for dl in deltas])
+    pos = np.logspace(top - decades, top,
+                      int(points_per_decade * decades) + 1).T
+    return np.concatenate([-pos[:, ::-1], np.zeros((len(top), 1)), pos],
+                          axis=1)
+
+
 def lambda_grid(delta: float, points_per_decade: int = 32,
                 decades: float = 3.0) -> np.ndarray:
     """Symmetric log-spaced grid on [-delta, delta] including 0."""
-    pos = np.logspace(math.log10(delta) - decades, math.log10(delta),
-                      int(points_per_decade * decades) + 1)
-    return np.concatenate([-pos[::-1], [0.0], pos])
+    return lambda_grids([delta], points_per_decade, decades)[0]
+
+
+def quad_envelopes(boxes: list[Box], lam: np.ndarray, f: np.ndarray,
+                   ci: np.ndarray, reliable: np.ndarray, deltas,
+                   max_ratio_ci: float = 0.25) -> list[QuadEnvelope | str]:
+    """``quad_envelope`` of stacked estimates: row i is the CGF of
+    boxes[i] on its own grid lam[i], fitted on (0, deltas[i]].
+
+    A row that admits no envelope gets the CgfError message in its place.
+    """
+    delta = np.array(deltas, dtype=float)[:, None]
+    mask = (np.abs(lam) > 0.0) & (np.abs(lam) <= delta) & reliable
+    lam2 = np.where(mask, lam * lam, 1.0)
+    mask &= ci / lam2 <= max_ratio_ci
+    lo = np.where(mask, (f - ci) / lam2, np.inf).min(axis=1).tolist()
+    hi = np.where(mask, (f + ci) / lam2, -np.inf).max(axis=1).tolist()
+    out: list[QuadEnvelope | str] = []
+    for i, informative in enumerate(mask.any(axis=1).tolist()):
+        if not informative:
+            out.append("no informative grid points in (0, delta]")
+            continue
+        try:
+            out.append(QuadEnvelope(boxes[i], L=max(0.0, lo[i]), U=hi[i],
+                                    delta=deltas[i]))
+        except CgfError as exc:
+            out.append(str(exc))
+    return out
 
 
 def quad_envelope(est: CgfEstimate, delta: float,
@@ -170,16 +214,12 @@ def quad_envelope(est: CgfEstimate, delta: float,
     whose ratio uncertainty ci/lam^2 exceeds ``max_ratio_ci`` carry no
     information about the coefficient and are skipped.
     """
-    lam = est.lambdas
-    mask = (np.abs(lam) > 0.0) & (np.abs(lam) <= delta) & est.reliable
-    lam2 = np.where(mask, lam * lam, 1.0)
-    mask &= est.ci / lam2 <= max_ratio_ci
-    if not mask.any():
-        raise CgfError("no informative grid points in (0, delta]")
-    lo = (est.f[mask] - est.ci[mask]) / lam[mask] ** 2
-    hi = (est.f[mask] + est.ci[mask]) / lam[mask] ** 2
-    return QuadEnvelope(est.box, L=max(0.0, float(lo.min())),
-                        U=float(hi.max()), delta=delta)
+    (env,) = quad_envelopes([est.box], est.lambdas[None], est.f[None],
+                            est.ci[None], est.reliable[None], [delta],
+                            max_ratio_ci)
+    if isinstance(env, str):
+        raise CgfError(env)
+    return env
 
 
 def oscillation_check(est: CgfEstimate, delta: float, C2: float = 1.0) -> dict:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -40,9 +41,13 @@ def _block(cls, data: dict, name: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{name} must be an object, got {data!r}")
     hints = get_type_hints(cls)
-    return cls(**{key: _integer(data, key) if hints.get(key) is int
-                  else _real(value, key) if hints.get(key) is float else value
-                  for key, value in data.items()})
+    values = {key: _integer(data, key) if hints.get(key) is int
+              else _real(value, key) if hints.get(key) is float else value
+              for key, value in data.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:  # cls's own checks, e.g. a nan constant
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -72,6 +77,10 @@ class ExperimentConfig:
             raise ConfigError("seed must fit in u64")
         if not self.boxes:
             raise ConfigError("need at least one box")
+        scale = self.audit_base_scale
+        if scale is not None and not 0.0 < scale < math.inf:
+            raise ConfigError("audit_base_scale must be positive and finite, "
+                              f"got {scale!r}")
         for b in self.boxes:
             if b.d != self.model.d:
                 raise ConfigError(f"box {b.sides} does not match model dimension")

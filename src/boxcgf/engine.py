@@ -2,12 +2,18 @@
 
 Single halving steps transform a quadratic envelope at B/2 into one at B
 with an explicit coefficient drift x = sqrt(C1 / R(vol B)); iterating the
-step climbs a dyadic ladder of boxes.  One loop does the climbing: the
-iterate functions keep its top, and the multi-step schedule is the
-recorded climb with radii from the M_k caps and a geometric tail, plus
-the lemma's side conditions.  The downward "slope" route transports
-f(lam)/(|lam| sqrt(vol)) instead, choosing the number of levels and the
-lambda chain from the volume and the target lambda.
+step climbs a dyadic ladder of boxes.  One loop, ``climb``, does the
+climbing, for the upper and the lower coefficient at once.  It builds no
+level box: level k, the box B/2^k, has volume vol(B) 2^-k to the bit,
+since halving multiplies one side by 1/2, and its width never decreases
+going up, so the width hypothesis is checked at the bottom level alone.
+Each level's drift and cap are computed once for both directions.  The
+iterate functions keep the top of a one-direction climb, and the
+multi-step schedule is the recorded climb with radii from the M_k caps
+and a geometric tail, plus the lemma's side conditions.  The downward
+"slope" route transports f(lam)/(|lam| sqrt(vol)) instead, choosing the
+number of levels and the lambda chain from the volume and the target
+lambda.
 
 Every asymptotic side condition the calculus needs "for large enough
 scale" is evaluated numerically and reported with its measured slack; the
@@ -40,11 +46,14 @@ class EngineParams:
     c2_prop: float = 16.0  # minimal volume for ladder descent
 
     def __post_init__(self) -> None:
-        if self.c1 < 3.0:
+        # each test is written to fail on nan
+        for name in ("c1", "eps", "w_min", "c3", "c2_prop"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise CertificateError(f"need 0 < {name} < inf, got {value!r}")
+        if not self.c1 >= 3.0:
             raise CertificateError("need C1 >= 3")
-        if self.eps <= 0.0:
-            raise CertificateError("need eps > 0")
-        if self.w_min < self.c1:
+        if not self.w_min >= self.c1:
             raise CertificateError("need W >= C1 for ladder descent")
 
 
@@ -54,6 +63,29 @@ class StepResult:
     delta_out: float
     p: float
     x: float
+
+
+@dataclass
+class Climb:
+    """One direction of a climb from B/2^n up to B.
+
+    u and delta hold the square root of the coefficient and the radius at
+    B/2^n, B/2^(n-1), ... up to the highest level reached, p the exponent
+    of each step taken, and x the drift of every level B/2^k, k < n,
+    reached or not.  error names the level where a failed step stopped
+    the climb short of B.
+    """
+    u: list[float]
+    delta: list[float]
+    p: list[float]
+    x: list[float]
+    error: str | None = None
+
+    def top(self) -> tuple[float, float]:
+        """(coefficient, radius) at B; raises if the climb stopped short."""
+        if self.error is not None:
+            raise CertificateError(self.error)
+        return self.u[-1] * self.u[-1], self.delta[-1]
 
 
 @dataclass
@@ -101,19 +133,30 @@ def _log_sd(v: float, d: int) -> float:
     return log_pow(face_scale(v, d), d - 1)
 
 
+def _drift(v: float, d: int, c1: float) -> float:
+    return math.sqrt(c1 / iso_length(v, d))
+
+
+def _cap_base(v: float, d: int) -> float:
+    """sqrt(v) / log^(d-1) S(v), the volume factor of the lambda cap."""
+    return math.sqrt(v) / _log_sd(v, d)
+
+
+def _lambda_cap(p: float, cap_base: float, c1: float, direction: str) -> float:
+    if direction == "up":
+        return (p - 1.0) / p * cap_base / c1
+    return (p - 1.0) * cap_base / c1
+
+
 def drift(b: Box, params: EngineParams) -> float:
     """Per-step envelope drift x = sqrt(C1 / R(vol B)), d the box's own."""
-    return math.sqrt(params.c1 / iso_length(vol(b), b.d))
+    return _drift(vol(b), b.d, params.c1)
 
 
 def admissible_lambda_cap(b: Box, params: EngineParams, p: float,
                           direction: str) -> float:
     """Largest C1*|lambda| allowed by the single-step inequality."""
-    v = vol(b)
-    base = math.sqrt(v) / _log_sd(v, b.d)
-    if direction == "up":
-        return (p - 1.0) / p * base / params.c1
-    return (p - 1.0) * base / params.c1
+    return _lambda_cap(p, _cap_base(vol(b), b.d), params.c1, direction)
 
 
 def single_step_check(f_b: CgfEstimate, f_bhalf: CgfEstimate,
@@ -157,30 +200,44 @@ def single_step_check(f_b: CgfEstimate, f_bhalf: CgfEstimate,
             "interpolated": it1 or it2, "slack": slack}
 
 
-def step_up(u: float, delta: float, b: Box, params: EngineParams) -> StepResult:
-    """Envelope upper step: u at B/2 on [-delta, delta] becomes u+x at B."""
-    if width(b) < params.c1:
-        raise CertificateError("width below C1: halving step unavailable")
+def _rise(u: float, delta: float, x: float, cap_base: float,
+          c1: float) -> tuple[float, float, float]:
+    """The upper step on numbers: (u_out, delta_out, p)."""
     if u <= 0.0 or delta <= 0.0:
         raise CertificateError("need u > 0 and delta > 0")
-    x = drift(b, params)
     p = (u + x) / u
-    cap = admissible_lambda_cap(b, params, p, "up")
-    return StepResult(u_out=u + x, delta_out=min(SQRT2 * delta / p, cap), p=p, x=x)
+    return u + x, min(SQRT2 * delta / p, _lambda_cap(p, cap_base, c1, "up")), p
+
+
+def _fall(u: float, delta: float, x: float, cap_base: float,
+          c1: float) -> tuple[float, float, float]:
+    """The lower step on numbers: (u_out, delta_out, p)."""
+    if delta <= 0.0:
+        raise CertificateError("need delta > 0")
+    if u <= x:
+        raise CertificateError("lower envelope annihilated")
+    p = u / (u - x)
+    return u - x, min(p * delta * SQRT2, _lambda_cap(p, cap_base, c1, "down")), p
+
+
+def _step(u: float, delta: float, b: Box, params: EngineParams,
+          step) -> StepResult:
+    if width(b) < params.c1:
+        raise CertificateError("width below C1: halving step unavailable")
+    v = vol(b)
+    x = _drift(v, b.d, params.c1)
+    u_out, delta_out, p = step(u, delta, x, _cap_base(v, b.d), params.c1)
+    return StepResult(u_out=u_out, delta_out=delta_out, p=p, x=x)
+
+
+def step_up(u: float, delta: float, b: Box, params: EngineParams) -> StepResult:
+    """Envelope upper step: u at B/2 on [-delta, delta] becomes u+x at B."""
+    return _step(u, delta, b, params, _rise)
 
 
 def step_down(u: float, delta: float, b: Box, params: EngineParams) -> StepResult:
     """Envelope lower step: u at B/2 becomes u-x at B; fails if u <= x."""
-    if width(b) < params.c1:
-        raise CertificateError("width below C1: halving step unavailable")
-    if delta <= 0.0:
-        raise CertificateError("need delta > 0")
-    x = drift(b, params)
-    if u <= x:
-        raise CertificateError("lower envelope annihilated")
-    p = u / (u - x)
-    cap = admissible_lambda_cap(b, params, p, "down")
-    return StepResult(u_out=u - x, delta_out=min(p * delta * SQRT2, cap), p=p, x=x)
+    return _step(u, delta, b, params, _fall)
 
 
 def slope_step(lam: float, mu: float, b: Box, params: EngineParams,
@@ -209,62 +266,55 @@ def slope_step(lam: float, mu: float, b: Box, params: EngineParams,
             "case_a_holds": case_a_holds, "case_b_holds": case_b_holds}
 
 
-def _halvings(b: Box, n: int) -> list[Box]:
-    """[B, B/2, ..., B/2^(n-1)], one ``halve`` per level."""
-    levels = [b]
-    for _ in range(n - 1):
-        levels.append(halve(levels[-1]))
-    return levels[:n]
+def climb(b: Box, n: int, params: EngineParams, delta: float,
+          starts: dict[str, float]) -> dict[str, Climb]:
+    """Climb from B/2^n up to B in each direction of ``starts``.
 
-
-def _climb(a: float, delta: float, b: Box, n: int, params: EngineParams,
-           step) -> tuple[list[StepResult], str | None]:
-    """Apply ``step`` from B/2^n up to B, recording one result per level.
-
-    The list starts with the identity step (p = 1, x = 0) at B/2^n and
-    ends at the highest level reached.  A step that fails stops the climb:
-    the steps done so far come back with its error message, which names
-    the level.
+    ``starts`` maps "up" and/or "down" to the coefficient a at B/2^n, on
+    [-delta, delta].  Each step is ``step_up`` or ``step_down`` on the
+    level box, value for value.  A step that fails stops its own
+    direction, with its message and level in ``Climb.error``.  Raises
+    CertificateError if no climb can start: a or delta not positive, or
+    B/2^(n-1) narrower than C1.
     """
-    if a <= 0.0 or delta <= 0.0:
+    if delta <= 0.0 or any(a <= 0.0 for a in starts.values()):
         raise CertificateError("need a > 0 and delta > 0")
-    levels = _halvings(b, n)
-    if levels and width(levels[-1]) < params.c1:
+    if n and width(halve_n(b, n - 1)) < params.c1:
         raise CertificateError(f"width below C1 after {n - 1} halvings")
-    u, dl = math.sqrt(a), delta
-    steps = [StepResult(u_out=u, delta_out=dl, p=1.0, x=0.0)]
-    for k in range(n - 1, -1, -1):
-        try:
-            res = step(u, dl, levels[k], params)
-        except CertificateError as exc:
-            return steps, f"{exc} at level {k + 1}"
-        steps.append(res)
-        u, dl = res.u_out, res.delta_out
-    return steps, None
-
-
-def _top(a: float, delta: float, b: Box, n: int, params: EngineParams,
-         step) -> tuple[float, float]:
-    """(coefficient, radius) at B after n levels of ``step``; raises if the
-    climb stops short."""
-    steps, err = _climb(a, delta, b, n, params, step)
-    if err is not None:
-        raise CertificateError(err)
-    top = steps[-1]
-    return top.u_out * top.u_out, top.delta_out
+    v, d, c1 = vol(b), b.d, params.c1
+    x, caps = [], []
+    for k in range(n):
+        vk = v / 2.0 ** k
+        x.append(_drift(vk, d, c1))
+        caps.append(_cap_base(vk, d))
+    climbs = {}
+    for direction, a in starts.items():
+        step = _rise if direction == "up" else _fall
+        u, dl = math.sqrt(a), delta
+        c = climbs[direction] = Climb(u=[u], delta=[dl], p=[], x=x)
+        for k in range(n - 1, -1, -1):
+            try:
+                u, dl, p = step(u, dl, x[k], caps[k], c1)
+            except CertificateError as exc:
+                c.error = f"{exc} at level {k + 1}"
+                break
+            c.u.append(u)
+            c.delta.append(dl)
+            c.p.append(p)
+    return climbs
 
 
 def iterate_quadratic_upper(a: float, delta: float, b: Box, n: int,
                             params: EngineParams) -> QuadEnvelope:
     """Climb n levels: envelope a*lam^2 at B/2^n becomes U*lam^2 at B."""
-    upper, dl = _top(a, delta, b, n, params, step_up)
+    upper, dl = climb(b, n, params, delta, {"up": a})["up"].top()
     return QuadEnvelope(b, L=0.0, U=upper, delta=dl)
 
 
 def iterate_quadratic_lower(a: float, delta: float, b: Box, n: int,
                             params: EngineParams) -> QuadEnvelope:
     """Climb n levels for the lower coefficient; may report annihilation."""
-    lower, dl = _top(a, delta, b, n, params, step_down)
+    lower, dl = climb(b, n, params, delta, {"down": a})["down"].top()
     return QuadEnvelope(b, L=lower, U=math.inf, delta=dl)
 
 
@@ -278,29 +328,28 @@ def envelope_schedule(a: float, delta: float, b: Box, n: int,
                       params: EngineParams, direction: str = "up") -> Schedule:
     """Record the climb from B/2^n to B with all side conditions.
 
-    a_seq, p_seq and x_seq are the steps of the climb that
-    ``iterate_quadratic_upper``/``_lower`` run, so sqrt(a_k) =
-    sqrt(a) +- sum_{j>=k} x_j with x_k = x_n 2^(-(n-k)/(2d)).  Radii
-    follow the volume-driven caps M_k up to the split point and a
-    geometric tail after it; the split has no closed form and is the
-    smallest value making its own conditions hold.  Every condition is
-    reported with its slack.  Failures are reported, never raised: where
-    a down-climb is annihilated, a_seq holds nan and p_seq inf at that
-    level and every level above it up to B, and x_seq their drifts.  A
-    climb that cannot start raises CertificateError, as the iterate
-    functions do: a or delta not positive, or B/2^(n-1) narrower than C1.
+    a_seq, p_seq and x_seq are the steps of the one-direction ``climb``
+    that ``iterate_quadratic_upper``/``_lower`` run, so sqrt(a_k) =
+    sqrt(a) +- sum_{j>=k} x_j with x_k = x_n 2^(-(n-k)/(2d)): level k is
+    B/2^k, of volume vol(B) 2^-k, and only the bottom level's width is
+    checked, since width does not decrease going up.  Radii follow the
+    volume-driven caps M_k up to the split point and a geometric tail
+    after it; the split has no closed form and is the smallest value
+    making its own conditions hold.  Every condition is reported with its
+    slack.  Failures are reported, never raised: where a down-climb is
+    annihilated, a_seq holds nan and p_seq inf at that level and every
+    level above it up to B, and x_seq their drifts.  A climb that cannot
+    start raises CertificateError, as the iterate functions do: a or
+    delta not positive, or B/2^(n-1) narrower than C1.
     """
     if direction not in ("up", "down"):
         raise CertificateError(f"unknown direction {direction!r}")
     d = b.d
-    steps, _ = _climb(a, delta, b, n, params,
-                      step_up if direction == "up" else step_down)
-    lost = n + 1 - len(steps)  # levels 0..lost-1 were not reached
-    reached = steps[::-1]      # reached[i] is level lost + i
-    a_seq = [math.nan] * lost + [s.u_out * s.u_out for s in reached]
-    p_seq = [math.inf] * lost + [s.p for s in reached[:n - lost]]
-    x_seq = ([drift(bk, params) for bk in _halvings(b, lost)]
-             + [s.x for s in reached[:n - lost]])
+    c = climb(b, n, params, delta, {direction: a})[direction]
+    lost = n - len(c.p)  # levels 0..lost-1 were not reached
+    a_seq = [math.nan] * lost + [u * u for u in reversed(c.u)]
+    p_seq = [math.inf] * lost + c.p[::-1]
+    x_seq = c.x
 
     vols = [vol(b) / 2.0 ** k for k in range(n + 1)]
     m_seq = [math.sqrt(face_scale(vk, d) / a) / (params.c1 * _log_sd(vk, d))

@@ -22,11 +22,11 @@ import time
 import numpy as np
 
 from .boxes import Box, halve_n, normalize_to_scale, vol, width
-from .cgf import (Z95, CgfError, CgfEstimate, delta_cap, estimate_cgf,
-                  exact_cgf, lambda_grid, log_mean_exp, quad_envelope)
+from .cgf import (Z95, CgfError, CgfEstimate, QuadEnvelope, delta_cap,
+                  estimate_cgf, exact_cgf, exact_coeff, lambda_grid,
+                  lambda_grids, log_mean_exp, quad_envelopes)
 from .config import ExperimentConfig
-from .engine import (CertificateError, calibrate_c1, iterate_quadratic_lower,
-                     iterate_quadratic_upper, ladder_descent)
+from .engine import CertificateError, calibrate_c1, climb, ladder_descent
 from .fields import (discrete_box_std, exact_box_variance, exact_sigma2,
                      is_gaussian, map_batch, sample_box_integrals,
                      sample_integrals)
@@ -326,15 +326,53 @@ def _cgf(cfg: ExperimentConfig, b: Box, delta: float,
     return estimate_cgf(cfg.model, b, grid, cfg.n_samples, cfg.seed, workers)
 
 
+# Bases per stacked envelope fit: the stack's arrays grow with the block,
+# not with the number of bases.
+AUDIT_FIT_BLOCK = 256
+
+
+def _fit_bases(cfg: ExperimentConfig, bases: list[Box],
+               workers: int) -> list[QuadEnvelope | str]:
+    """The envelope of each base's CGF on ``lambda_grid(delta_cap)``,
+    fitted as one stack: exact for a Gaussian model, else estimated base
+    by base from ``n_samples`` replicas.  A base whose estimate or fit
+    raised CgfError gets the error's message."""
+    deltas = [delta_cap(vol(base), cfg.engine.c1, cfg.model.d)
+              for base in bases]
+    grids = lambda_grids(deltas)
+    errors = {}
+    if is_gaussian(cfg.model):
+        coeff = np.array([exact_coeff(cfg.model, base) for base in bases])
+        f = coeff[:, None] * grids * grids
+        ci = np.zeros(grids.shape)
+        reliable = np.ones(grids.shape, dtype=bool)
+    else:
+        f, ci = np.zeros(grids.shape), np.zeros(grids.shape)
+        reliable = np.zeros(grids.shape, dtype=bool)  # a failed row stays so
+        for i, base in enumerate(bases):
+            try:
+                est = estimate_cgf(cfg.model, base, grids[i], cfg.n_samples,
+                                   cfg.seed, workers)
+            except CgfError as exc:
+                errors[i] = str(exc)
+                continue
+            f[i], ci[i], reliable[i] = est.f, est.ci, est.reliable
+    fits = quad_envelopes(bases, grids, f, ci, reliable, deltas)
+    return [errors.get(i, fit) for i, fit in enumerate(fits)]
+
+
 def _audit_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
     """(box, halvings to its base, base envelope) for every box.
 
     Boxes normalising to one base share its envelope: each base is fitted
-    once.  Where there is no envelope, a note takes its place: a box
-    narrower than the base scale gets (box, 0, note), and every box on a
-    base whose fit raised CgfError gets the error's message.
+    once, in blocks of ``AUDIT_FIT_BLOCK`` bases.  Where there is no
+    envelope, a note takes its place: a box narrower than the base scale
+    gets (box, 0, note), and every box on a base whose fit raised
+    CgfError gets the error's message.
     """
-    base_scale = cfg.audit_base_scale or 2.0 * cfg.engine.c1
+    base_scale = cfg.audit_base_scale
+    if base_scale is None:
+        base_scale = 2.0 * cfg.engine.c1
 
     def base_of(b: Box) -> tuple[int, Box | None]:
         if width(b) < base_scale:
@@ -343,14 +381,11 @@ def _audit_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
         return n, halve_n(b, n)
 
     based = [base_of(b) for b in cfg.boxes]
+    bases = list(dict.fromkeys(base for _, base in based if base is not None))
     envelopes: dict = {None: "width below base scale"}
-    for base in dict.fromkeys(base for _, base in based if base is not None):
-        delta0 = delta_cap(vol(base), cfg.engine.c1, cfg.model.d)
-        try:
-            envelopes[base] = quad_envelope(_cgf(cfg, base, delta0, workers),
-                                            delta0)
-        except CgfError as exc:
-            envelopes[base] = str(exc)
+    for i in range(0, len(bases), AUDIT_FIT_BLOCK):
+        block = bases[i:i + AUDIT_FIT_BLOCK]
+        envelopes.update(zip(block, _fit_bases(cfg, block, workers)))
     return [(b, n, envelopes[base]) for b, (n, base) in zip(cfg.boxes, based)]
 
 
@@ -367,21 +402,24 @@ def _audit_rows(cfg: ExperimentConfig, unit: tuple, workers: int) -> list[dict]:
 
     if isinstance(env, str):
         return failed(env)
+    starts = {"up": env.U}
+    if env.L > 0.0:  # else nothing to climb: 0 is a sound lower bound
+        starts["down"] = env.L
     try:
-        upper = iterate_quadratic_upper(env.U, env.delta, b, n, params).U
+        climbs = climb(b, n, params, env.delta, starts)
+        upper = climbs["up"].top()[0]
     except CertificateError as exc:
         return failed(str(exc))
     note, annihilated = "", False
-    if env.L == 0.0:  # nothing to climb: 0 is a sound lower bound
+    if env.L == 0.0:
         lower, note = 0.0, "base lower envelope is 0"
+    elif climbs["down"].error is not None:
+        lower, note, annihilated = 0.0, climbs["down"].error, True
     else:
-        try:
-            lower = iterate_quadratic_lower(env.L, env.delta, b, n, params).L
-        except CertificateError as exc:
-            lower, note, annihilated = 0.0, str(exc), True
+        lower = climbs["down"].top()[0]
     v = vol(b)
     if is_gaussian(model):
-        reference = 0.5 * exact_box_variance(model, b) / v
+        reference = exact_coeff(model, b)
     else:
         samples = sample_integrals(model, b, cfg.seed, cfg.n_replicas, workers)
         reference = float((samples / math.sqrt(v)).var(ddof=1)) / 2.0

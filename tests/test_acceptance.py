@@ -226,13 +226,13 @@ def test_criterion_6_lrp_desk_scale():
     _report(6, f"{n} rows within max(10%, 3ci) of 0.5")
 
 
-def test_criterion_7_clt_desk_scale():
+def test_criterion_7_clt_desk_scale(clt_nonlinear_d1):
     cfg = _config(
         model={"d": 1, "kind": "bounded_nonlinear_ma", "m": 1.0,
                "kernel": "indicator", "nonlinearity": "clipped",
                "clip_level": 1.0, "grid_h": 0.25, "amplitude": 1.0},
         boxes=[[10000.0]], n_samples=1000, n_replicas=10_000)
-    rep = RUNNERS["clt"](cfg)
+    rep, _ = clt_nonlinear_d1(cfg)  # the clt_nonlinear_d1 default's run
     (row,) = rep.rows
     assert row["p_value"] > 0.01, row
     gauss = RUNNERS["clt"](_config(boxes=[[10000.0]], n_samples=1000,

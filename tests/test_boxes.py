@@ -48,10 +48,12 @@ def test_halving_width_identity(sides):
     assert width(halve(b)) == min(width(b), length(b) / 2.0)
 
 
-@given(sides_strategy)
-def test_halve_preserves_volume_ratio(sides):
+@given(sides_strategy, st.integers(min_value=0, max_value=12))
+def test_halve_preserves_volume_ratio(sides, k):
+    # scaling one side by 1/2 scales the product exactly
     b = Box(sides)
-    assert vol(halve(b)) == pytest.approx(vol(b) / 2.0, rel=1e-12)
+    assert vol(halve(b)) == vol(b) / 2.0
+    assert vol(halve_n(b, k)) == vol(b) * 0.5 ** k
 
 
 @given(sides_strategy, st.integers(min_value=0, max_value=12))

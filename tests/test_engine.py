@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boxcgf.boxes import box, halve, halve_n, vol
+from boxcgf.boxes import Box, box, halve, halve_n, vol, width
 from boxcgf.cgf import exact_cgf, lambda_grid
-from boxcgf.engine import (CertificateError, EngineParams, SQRT2, _climb,
-                           admissible_lambda_cap, calibrate_c1, drift,
+from boxcgf.engine import (CertificateError, EngineParams, SQRT2,
+                           admissible_lambda_cap, calibrate_c1, climb, drift,
                            envelope_schedule, iterate_quadratic_lower,
                            iterate_quadratic_upper, ladder_descent,
                            single_step_check, slope_step, step_down, step_up)
@@ -24,6 +25,10 @@ def test_params_validation():
         EngineParams(eps=0.0)
     with pytest.raises(CertificateError):
         EngineParams(c1=5.0, w_min=4.0)
+    for name in ("c1", "eps", "w_min", "c3", "c2_prop"):
+        for bad in (math.nan, math.inf, -1.0, 0.0):
+            with pytest.raises(CertificateError):
+                EngineParams(**{name: bad})
 
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
@@ -177,13 +182,13 @@ def test_schedule_structure():
 def test_schedule_is_the_recorded_climb():
     b, n = box(2.0 ** 16), 6
     sched = envelope_schedule(0.5, 0.1, b, n, P1, "up")
-    steps, err = _climb(0.5, 0.1, b, n, P1, step_up)
-    assert err is None and len(steps) == n + 1
+    c = climb(b, n, P1, 0.1, {"up": 0.5})["up"]
+    assert c.error is None and len(c.p) == n
     for k in range(n + 1):
-        s = steps[n - k]  # the step that reaches level k (B/2^k)
-        assert sched.a_seq[k] == s.u_out * s.u_out
+        u = c.u[n - k]  # reached level k (B/2^k)
+        assert sched.a_seq[k] == u * u
         if k < n:
-            assert sched.p_seq[k] == s.p and sched.x_seq[k] == s.x
+            assert sched.p_seq[k] == c.p[n - 1 - k] and sched.x_seq[k] == c.x[k]
 
 
 def test_schedule_reports_annihilation_where_the_climb_stops():
@@ -193,22 +198,68 @@ def test_schedule_reports_annihilation_where_the_climb_stops():
     base = halve_n(b, n)
     a = 0.5 * exact_box_variance(GAUSS1, base) / vol(base)
     assert a == pytest.approx(0.479, abs=1e-3)
-    steps, err = _climb(a, 0.25, b, n, P1, step_down)
-    assert err == "lower envelope annihilated at level 6"
+    c = climb(b, n, P1, 0.25, {"down": a})["down"]
+    assert c.error == "lower envelope annihilated at level 6"
     with pytest.raises(CertificateError, match="annihilated at level 6"):
         iterate_quadratic_lower(a, 0.25, b, n, P1)
     sched = envelope_schedule(a, 0.25, b, n, P1, "down")
-    lost = n + 1 - len(steps)
+    lost = n - len(c.p)
     assert lost == 6
     for k in range(lost):
         assert math.isnan(sched.a_seq[k]) and sched.p_seq[k] == math.inf
     for k in range(lost, n + 1):
-        s = steps[n - k]
-        assert sched.a_seq[k] == s.u_out * s.u_out
+        u = c.u[n - k]
+        assert sched.a_seq[k] == u * u
         if k < n:
-            assert sched.p_seq[k] == s.p and sched.x_seq[k] == s.x
+            assert sched.p_seq[k] == c.p[n - 1 - k] and sched.x_seq[k] == c.x[k]
     assert sched.x_seq == [drift(halve_n(b, k), P1) for k in range(n)]
     assert not sched.all_ok
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_climb_equals_public_steps(d):
+    # both directions of one climb against a chain of step_up/step_down on
+    # explicit halve boxes: every level's values and the error, with ==
+    rng = np.random.default_rng(2100 + d)
+    top_annihilations = 0
+    for case in range(300):
+        b = Box(tuple(rng.uniform(4.0, 400.0, d)))
+        levels = [b]  # B, B/2, ... while at least C1 wide
+        while width(halve(levels[-1])) >= P1.c1:
+            levels.append(halve(levels[-1]))
+        n = 0 if case % 5 == 0 else int(rng.integers(1, len(levels) + 1))
+        levels = levels[:n]
+        x = [drift(level, P1) for level in levels]
+        a_up = 10.0 ** rng.uniform(-3.0, 1.0)
+        a_low = 10.0 ** rng.uniform(-3.0, 1.0)
+        if case % 3 == 0 and n:  # the last step, into B, annihilates
+            a_low = (sum(x[1:]) + rng.uniform(0.05, 0.95) * x[0]) ** 2
+        delta = 10.0 ** rng.uniform(-3.0, 0.0)
+        got = climb(b, n, P1, delta, {"up": a_up, "down": a_low})
+        for direction, a, step in (("up", a_up, step_up),
+                                   ("down", a_low, step_down)):
+            u, dl = math.sqrt(a), delta
+            us, dls, ps, err = [u], [dl], [], None
+            for k in range(n - 1, -1, -1):
+                try:
+                    res = step(u, dl, levels[k], P1)
+                except CertificateError as exc:
+                    err = f"{exc} at level {k + 1}"
+                    break
+                u, dl = res.u_out, res.delta_out
+                us.append(u)
+                dls.append(dl)
+                ps.append(res.p)
+            c = got[direction]
+            assert (c.u, c.delta, c.p, c.x, c.error) == (us, dls, ps, x, err)
+            if err is None:
+                assert c.top() == (u * u, dl)
+            else:
+                with pytest.raises(CertificateError) as info:
+                    c.top()
+                assert str(info.value) == err
+            top_annihilations += err == "lower envelope annihilated at level 1"
+    assert top_annihilations >= 50
 
 
 def test_schedule_down_direction_and_failure_reporting():
