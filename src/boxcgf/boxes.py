@@ -21,7 +21,7 @@ class Box:
     sides: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.sides) < 1:
+        if not self.sides:
             raise BoxError("box needs at least one side")
         if min(self.sides) <= 0.0:
             raise BoxError(f"box sides must be positive: {self.sides}")
@@ -35,13 +35,27 @@ def box(*sides: float) -> Box:
     return Box(tuple(float(s) for s in sides))
 
 
+def _scaled(sides: tuple[float, ...]) -> Box:
+    """Box on the power-of-two rescaled sides of a valid box.
+
+    Such sides are nonempty, and positive unless one underflowed, so only
+    that is checked; this skips the dataclass __init__ on the hot paths.
+    """
+    if min(sides) <= 0.0:
+        raise BoxError(f"box sides must be positive: {sides}")
+    b = object.__new__(Box)
+    object.__setattr__(b, "sides", sides)
+    return b
+
+
 @dataclass(frozen=True, slots=True)
 class Multiindex:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any((not isinstance(a, int)) or a < 0 for a in self.entries):
-            raise BoxError(f"multiindex entries must be nonnegative ints: {self.entries}")
+        for a in self.entries:
+            if not isinstance(a, int) or a < 0:
+                raise BoxError(f"multiindex entries must be nonnegative ints: {self.entries}")
 
     @property
     def order(self) -> int:
@@ -64,7 +78,7 @@ def halve(b: Box) -> Box:
     """Halve the longest side (ties broken to the smallest index)."""
     sides = b.sides
     k = sides.index(max(sides))
-    return Box(sides[:k] + (sides[k] * 0.5,) + sides[k + 1:])
+    return _scaled(sides[:k] + (sides[k] * 0.5,) + sides[k + 1:])
 
 
 def halve_n(b: Box, n: int) -> Box:
@@ -76,7 +90,7 @@ def halve_n(b: Box, n: int) -> Box:
     for _ in range(n):
         k = sides.index(max(sides))
         sides[k] *= 0.5
-    return Box(tuple(sides))
+    return _scaled(tuple(sides))
 
 
 def normalize_to_scale(b: Box, C: float) -> int:
@@ -89,20 +103,21 @@ def normalize_to_scale(b: Box, C: float) -> int:
     """
     if C <= 0.0:
         raise BoxError("scale must be positive")
-    if C > min(b.sides):
+    sides = b.sides
+    if C > min(sides):
         raise BoxError("scale exceeds width")
     n = 0
     lo = 2.0 * C
-    for r in b.sides:
+    for r in sides:
         a = max(0, math.frexp(r / C)[1] - 1)
-        while r * 2.0 ** -a < C:  # correct float rounding in the exponent
+        while math.ldexp(r, -a) < C:  # correct float rounding in the exponent
             a -= 1
-        while r * 2.0 ** -a >= lo:
+        while math.ldexp(r, -a) >= lo:
             a += 1
         n += a
-    v = vol(b)
-    cd2n = C ** b.d * 2.0 ** n
-    if not (2.0 ** (-b.d) * v < cd2n * (1 + 1e-12) and cd2n <= v * (1 + 1e-12)):
+    v = math.prod(sides)
+    cd2n = math.ldexp(C ** len(sides), n)
+    if not (2.0 ** -len(sides) * v < cd2n * (1 + 1e-12) and cd2n <= v * (1 + 1e-12)):
         raise BoxError(f"normalization of {b.sides} to scale {C} gave n={n} "
                        "outside the volume bracket")
     return n
@@ -111,7 +126,7 @@ def normalize_to_scale(b: Box, C: float) -> int:
 def dyadic_scale(b: Box, alpha: Multiindex) -> Box:
     if len(alpha.entries) != b.d:
         raise BoxError("multiindex dimension does not match box dimension")
-    return Box(tuple(s * float(2 ** a) for s, a in zip(b.sides, alpha.entries)))
+    return _scaled(tuple(map(math.ldexp, b.sides, alpha.entries)))
 
 
 def is_near_cube(b: Box) -> bool:

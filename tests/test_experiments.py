@@ -494,17 +494,6 @@ def test_cli_bad_config_is_exit_2(tmp_path):
     ({"c_grid": ["2", True]}, "c_grid must be a number, got '2'"),
     ({"c_grid": [2.0, True]}, "c_grid must be a number, got True"),
     ({"audit_base_scale": "8"}, "audit_base_scale must be a number, got '8'"),
-    ({"audit_base_scale": -1.0},
-     "audit_base_scale must be positive and finite, got -1.0"),
-    ({"audit_base_scale": 0.0},
-     "audit_base_scale must be positive and finite, got 0.0"),
-    ({"audit_base_scale": math.nan},
-     "audit_base_scale must be positive and finite, got nan"),
-    ({"audit_base_scale": math.inf},
-     "audit_base_scale must be positive and finite, got inf"),
-    ({"engine": {"c1": math.nan}}, "need 0 < c1 < inf, got nan"),
-    ({"engine": {"c1": 4.0, "w_min": math.nan}},
-     "need 0 < w_min < inf, got nan"),
     ({"boxes": [[200.0], ["1000"]]}, "box sides must be a number, got '1000'"),
     ({"mu_grid": [0.5, None]}, "mu_grid must be a number, got None"),
     ({"lrp_lambda_bound": "0.5"}, "lrp_lambda_bound must be a number"),
@@ -527,6 +516,17 @@ def test_cli_bad_config_is_exit_2(tmp_path):
     ({"engine": {"c1": 4.0, "eps": True}}, "eps must be a number, got True"),
     ({"engine": {"c1": 4.0, "c3": True}}, "c3 must be a number, got True"),
     ({"model": [1]}, "model must be an object, got [1]"),
+    ({"audit_base_scale": -1.0},
+     "audit_base_scale must be positive and finite, got -1.0"),
+    ({"audit_base_scale": 0.0},
+     "audit_base_scale must be positive and finite, got 0.0"),
+    ({"audit_base_scale": math.nan},
+     "audit_base_scale must be positive and finite, got nan"),
+    ({"audit_base_scale": math.inf},
+     "audit_base_scale must be positive and finite, got inf"),
+    ({"engine": {"c1": math.nan}}, "need 0 < c1 < inf, got nan"),
+    ({"engine": {"c1": 4.0, "w_min": math.nan}},
+     "need 0 < w_min < inf, got nan"),
 ])
 def test_cli_malformed_config_is_exit_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
