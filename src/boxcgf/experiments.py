@@ -27,8 +27,9 @@ from .cgf import (Z95, CgfError, CgfEstimate, QuadEnvelope, delta_cap,
                   lambda_grids, log_mean_exp, quad_envelopes)
 from .config import ExperimentConfig
 from .engine import CertificateError, calibrate_c1, climb, ladder_descent
-from .fields import (discrete_box_std, exact_box_variance, exact_sigma2,
-                     is_gaussian, map_batch, sample_box_integrals,
+from .fields import (discrete_box_std, discrete_box_variance,
+                     exact_box_variance, exact_sigma2, is_gaussian,
+                     is_grid_gaussian, map_batch, sample_box_integrals,
                      sample_integrals)
 from .report import ExperimentReport
 from .tails import log_normal_tail
@@ -251,7 +252,11 @@ def _clt_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
 
 
 def _clt_rows(cfg: ExperimentConfig, unit: tuple, workers: int) -> list[dict]:
-    """KS goodness of fit of vol^(-1/2) * integral against N(0, sigma^2)."""
+    """KS goodness of fit of vol^(-1/2) * integral against N(0, sigma^2).
+
+    sigma^2 is the continuum variance for a Gaussian moving average, the
+    grid variance for a simulated one without nonlinearity, and else the
+    sample variance."""
     b, samples = unit
     model = cfg.model
     v = vol(b)
@@ -259,6 +264,8 @@ def _clt_rows(cfg: ExperimentConfig, unit: tuple, workers: int) -> list[dict]:
     sigma2_hat = float(y.var(ddof=1))
     if is_gaussian(model):
         sigma2_ref = exact_box_variance(model, b) / v
+    elif is_grid_gaussian(model):
+        sigma2_ref = discrete_box_variance(model, b) / v
     else:
         sigma2_ref = sigma2_hat
     if sigma2_ref <= 0.0:
@@ -335,12 +342,16 @@ def _fit_bases(cfg: ExperimentConfig, bases: list[Box],
                workers: int) -> list[QuadEnvelope | str]:
     """The envelope of each base's CGF on ``lambda_grid(delta_cap)``,
     fitted as one stack: exact for a Gaussian model, else estimated base
-    by base from ``n_samples`` replicas.  A base whose estimate or fit
-    raised CgfError gets the error's message."""
-    deltas = [delta_cap(vol(base), cfg.engine.c1, cfg.model.d)
-              for base in bases]
+    by base from ``n_samples`` replicas.  A base whose radius, estimate
+    or fit raised CgfError gets the error's message."""
+    errors, deltas = {}, []
+    for i, base in enumerate(bases):
+        try:
+            deltas.append(delta_cap(vol(base), cfg.engine.c1, cfg.model.d))
+        except CgfError as exc:
+            errors[i] = str(exc)
+            deltas.append(math.nan)  # its row fits nothing and is not estimated
     grids = lambda_grids(deltas)
-    errors = {}
     if is_gaussian(cfg.model):
         coeff = np.array([exact_coeff(cfg.model, base) for base in bases])
         f = coeff[:, None] * grids * grids
@@ -350,6 +361,8 @@ def _fit_bases(cfg: ExperimentConfig, bases: list[Box],
         f, ci = np.zeros(grids.shape), np.zeros(grids.shape)
         reliable = np.zeros(grids.shape, dtype=bool)  # a failed row stays so
         for i, base in enumerate(bases):
+            if i in errors:
+                continue
             try:
                 est = estimate_cgf(cfg.model, base, grids[i], cfg.n_samples,
                                    cfg.seed, workers)

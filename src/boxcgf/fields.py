@@ -18,6 +18,10 @@ so its halo costs no tile below 0.  The Philox keys of all the streams a
 call needs are derived in one vectorised pass of SeedSequence's hash, and
 a tile is drawn only up to the last cell read (a Philox
 ``standard_normal(n)`` is the prefix of every longer draw).
+
+I.i.d. blocks and grid moving averages without nonlinearity integrate a
+box as one weighted sum of its (transformed) noise cells.  Only clipped
+grid moving averages build the field from the noise and then sum it.
 """
 
 from __future__ import annotations
@@ -299,7 +303,8 @@ def _valid_correlate(noise: np.ndarray, taps: np.ndarray,
 
 def _grid_integrals(model: FieldModel, boxes: list[Box], seed: int,
                     replicas: range) -> np.ndarray:
-    """The grid simulation of every box at every replica, in one pass.
+    """The grid simulation of every box at every replica, in one pass,
+    by building the field: the path of clipped moving averages.
 
     A box of n points per axis reads the noise cells [0, n + k - 1) for
     k taps: noise cell j feeds the outputs j - k + 1 ... j.  A replica
@@ -333,35 +338,57 @@ def sample_integral(model: FieldModel, b: Box, seed: int, replica: int) -> float
                                range(replica, replica + 1))[0, 0])
 
 
-def _block_integrals(model: FieldModel, boxes: list[Box], seed: int,
-                     replicas: range) -> np.ndarray:
-    """The i.i.d.-block integral of every box at every replica: each unit
-    block's (transformed) normal times the block's overlap with the box.
-    The overlap weights are built once per box."""
-    m = model.m
-    nblk = [tuple(int(math.ceil(r / m - 1e-12)) for r in b.sides) for b in boxes]
-    weights = [reduce(np.multiply.outer, [
-        np.array([min(r, (i + 1) * m) - i * m for i in range(n)])
-        for r, n in zip(b.sides, shape)]) for b, shape in zip(boxes, nblk)]
-    ranges = [((0,) * model.d, shape) for shape in nblk]
+def _axis_weights(model: FieldModel, b: Box) -> list[np.ndarray]:
+    """Per axis, the weight of each of the box's noise cells [0, n + k - 1)
+    in the sum over its n grid points: cell j feeds the outputs
+    j - k + 1 ... j, so its weight is the sum of the taps that reach them."""
+    taps = _taps(model)
+    return [np.convolve(np.ones(n), taps, mode="full")
+            for n in _grid_points(model, b)]
+
+
+def _noise_weights(model: FieldModel, boxes: list[Box]):
+    """(tag, noise ranges, weights) of boxes whose integral is the sum of
+    their (transformed) noise cells times fixed weights: a block's overlap
+    with the box, or h^(3d/2) times the product of a grid cell's
+    ``_axis_weights`` (h^(d/2) scales the field, h^d is a cell's volume).
+    """
+    if model.kind == "iid_block":
+        tag, m = _BLOCK_TAG, model.m
+        weights = [reduce(np.multiply.outer, [
+            np.array([min(r, (i + 1) * m) - i * m
+                      for i in range(int(math.ceil(r / m - 1e-12)))])
+            for r in b.sides]) for b in boxes]
+    else:
+        tag, scale = _GRID_TAG, model.grid_h ** (1.5 * model.d)
+        weights = [scale * reduce(np.multiply.outer, _axis_weights(model, b))
+                   for b in boxes]
+    return tag, [((0,) * model.d, w.shape) for w in weights], weights
+
+
+def _weighted_integrals(model: FieldModel, boxes: list[Box], seed: int,
+                        replicas: range) -> np.ndarray:
+    """Every box's integral at every replica as one weighted sum of its
+    (transformed) noise cells, with the weights of ``_noise_weights``
+    built once per box."""
+    tag, ranges, weights = _noise_weights(model, boxes)
     out = np.empty((len(boxes), len(replicas)))
-    for col, noise in enumerate(_replica_noise(seed, _BLOCK_TAG, ranges, replicas)):
+    for col, noise in enumerate(_replica_noise(seed, tag, ranges, replicas)):
         for i, (x, w) in enumerate(zip(noise, weights)):
             out[i, col] = (_apply_nonlinearity(model, x, out=x) * w).sum()
     return out
 
 
 def discrete_box_variance(model: FieldModel, b: Box) -> float:
-    """Exact variance of the grid-discretized integral for Gaussian models."""
-    if not is_gaussian(model):
+    """Exact variance of the grid-discretized integral of a moving average
+    without nonlinearity (``is_grid_gaussian``): h^(3d) times the sum of
+    the squared noise weights."""
+    if not is_grid_gaussian(model):
         raise NoClosedFormError("no closed form for non-Gaussian model")
-    h = model.grid_h
-    taps = _taps(model)
     acc = 1.0
-    for n in _grid_points(model, b):
-        u = np.convolve(np.ones(n), taps, mode="full")
+    for u in _axis_weights(model, b):
         acc *= float((u * u).sum())
-    return h ** (3 * model.d) * acc
+    return model.grid_h ** (3 * model.d) * acc
 
 
 def discrete_box_std(model: FieldModel, b: Box) -> float:
@@ -409,8 +436,17 @@ def standard_batches(seed: int, n: int) -> list[np.ndarray]:
 
 
 def is_gaussian(model: FieldModel) -> bool:
-    """Whether the discretized box integral has a closed-form normal law."""
+    """Whether the model takes the Gaussian batch shortcut, with the
+    continuum oracles.  Every grid model without nonlinearity has a
+    closed-form law (``is_grid_gaussian``), but the others are simulated."""
     return model.kind == "gaussian_ma" and model.nonlinearity == "identity"
+
+
+def is_grid_gaussian(model: FieldModel) -> bool:
+    """Whether the grid integral is exactly N(0, ``discrete_box_variance``):
+    a moving average of either kind without nonlinearity, whose integral
+    is a fixed weighted sum of independent normal noise cells."""
+    return model.kind != "iid_block" and model.nonlinearity == "identity"
 
 
 def sample_integrals(model: FieldModel, b: Box, seed: int, n_samples: int,
@@ -425,8 +461,8 @@ REPLICA_CHUNK = 256  # replicas per unit of work of a grid or block pass
 
 def _replica_pass(model: FieldModel, boxes: list[Box], seed: int,
                   replicas: range) -> np.ndarray:
-    if model.kind == "iid_block":
-        return _block_integrals(model, boxes, seed, replicas)
+    if model.kind == "iid_block" or is_grid_gaussian(model):
+        return _weighted_integrals(model, boxes, seed, replicas)
     return _grid_integrals(model, boxes, seed, replicas)
 
 
@@ -440,8 +476,10 @@ def sample_box_integrals(model: FieldModel, boxes: list[Box], seed: int,
     batch chunk by batch chunk through ``map_batch``.  That batch is drawn
     once and does not depend on the box: at one seed, every box gets the
     same standard normals, so rows across boxes are one experiment scaled.
-    Other kinds simulate each distinct box once per replica, in chunks of
-    ``REPLICA_CHUNK`` replicas.  Either way the chunks run in order on
+    Other models simulate each distinct box once per replica, in chunks of
+    ``REPLICA_CHUNK`` replicas: i.i.d. blocks and moving averages without
+    nonlinearity as one weighted sum of their noise cells, clipped moving
+    averages by building the field.  Either way the chunks run in order on
     ``workers`` threads.  Values depend only on (model, box, seed,
     replica), so neither the range nor ``workers`` changes any of them.
     """

@@ -18,8 +18,8 @@ from boxcgf.cli import main
 from boxcgf.config import ConfigError, ExperimentConfig
 from boxcgf.experiments import RUNNERS, SCIPY_MODULES
 from boxcgf.fields import (REPLICA_CHUNK, FieldModel, discrete_box_std,
-                           exact_sigma2, sample_box_integrals,
-                           sample_integrals)
+                           discrete_box_variance, exact_sigma2,
+                           sample_box_integrals, sample_integrals)
 from boxcgf.report import ExperimentReport
 
 
@@ -192,6 +192,16 @@ def test_clt_gaussian_exact_reference():
         (500.0 - 1.0 / 3.0) / 500.0, rel=1e-12)
 
 
+def test_clt_grid_gaussian_reference_is_the_grid_variance():
+    # a simulated moving average without nonlinearity is exactly normal
+    # with the grid variance; a Gaussian one keeps its continuum reference
+    model = {"d": 1, "kind": "bounded_nonlinear_ma", "m": 1.0}
+    cfg = small_config(model=model, boxes=[[50.0]], n_replicas=2_000)
+    (row,) = RUNNERS["clt"](cfg).rows
+    assert row["sigma2_ref"] == discrete_box_variance(cfg.model, Box((50.0,))) / 50.0
+    assert row["sigma2_ref"] != row["sigma2_hat"] and row["pass"]
+
+
 def test_clt_nonlinear_model():
     cfg = small_config(
         model={"d": 1, "kind": "bounded_nonlinear_ma", "m": 1.0,
@@ -308,6 +318,37 @@ def test_audit_base_fit_error_is_a_flagged_row(workers, monkeypatch):
     assert rep.to_csv().splitlines()[1:] == [s.splitlines()[1] for s in single]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_audit_base_volume_at_most_one_is_a_flagged_row(workers, tmp_path,
+                                                         capsys):
+    # in d = 2 a base of volume <= 1 has no admissible radius (delta_cap)
+    config = json.loads((CONFIGS / "audit_gaussian_d2.json").read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(config, audit_base_scale=0.5)))
+    assert main(["audit", "--config", str(path), "--out", str(tmp_path),
+                 "--workers", str(workers)]) == 0
+    note = "need v > 1 for d >= 2 (log S(v) <= 0)"
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"audit: 0/0 rows pass (3 flagged: 3× {note})")
+    rows = (tmp_path / "audit.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 and all(r.endswith(f",{note},1") for r in rows)
+
+    # a bad base flags only its own boxes: at base scale 1 the first two
+    # boxes have the base [1, 1], the others bases of volume above 1
+    for model in ({"d": 2, "kind": "gaussian_ma", "m": 1.0},
+                  {"d": 2, "kind": "bounded_nonlinear_ma", "m": 1.0,
+                   "nonlinearity": "clipped"}):
+        cfg = small_config(model=model, audit_base_scale=1.0, n_samples=2000,
+                           n_replicas=200, boxes=[[64.0, 64.0], [128.0, 64.0],
+                                                  [40.0, 30.0], [48.0, 36.0]])
+        rep = RUNNERS["audit"](cfg, workers=workers)
+        assert [r["note"] == note for r in rep.rows] == [True, True, False, False]
+        assert [r["flagged"] for r in rep.rows[:2]] == [True, True]
+        single = [RUNNERS["audit"](dataclasses.replace(cfg, boxes=[b])).to_csv()
+                  for b in cfg.boxes[2:]]
+        assert rep.to_csv().splitlines()[3:] == [x.splitlines()[1] for x in single]
+
+
 def test_audit_fit_blocks_match_one_box_runs():
     # more distinct bases than one fit block, the last block short: each
     # row must be the row of a run on its box alone
@@ -401,9 +442,14 @@ def test_grid_path_workers_do_not_change_results():
     clipped = {"d": 1, "kind": "bounded_nonlinear_ma", "m": 1.0,
                "kernel": "indicator", "nonlinearity": "clipped",
                "clip_level": 1.0, "grid_h": 0.25, "amplitude": 1.0}
+    # the correlation path of clipped fields, and the weighted pass of a
+    # grid field without nonlinearity and of blocks
     for model, boxes, n_replicas in (
             (clipped, [[6.0], [20.0]], 2500),
-            (dict(clipped, d=3), [[2.0, 2.0, 2.0], [3.0, 2.5, 1.5]], 600)):
+            (dict(clipped, d=3), [[2.0, 2.0, 2.0], [3.0, 2.5, 1.5]], 600),
+            (dict(clipped, d=2, nonlinearity="identity"),
+             [[3.0, 2.0], [4.0, 2.5]], 600),
+            (dict(clipped, kind="iid_block"), [[6.0], [20.5]], 600)):
         cfg = small_config(model=model, boxes=boxes, n_samples=1000,
                            n_replicas=n_replicas, additivity_pairs=[])
         # a short last chunk; in d = 1 the audit estimates the base of box 20
@@ -594,7 +640,7 @@ DEFAULT_CSV_SHA256 = {
     "audit_gaussian_d1": "7e6812b393fa90bb",
     "audit_gaussian_d2": "741b9f2db235944a",
     "calibrate_gaussian_d1": "1137bb9800c9ff1b",
-    "clt_gaussian_d3": "aad2bf2b4d5379ee",
+    "clt_gaussian_d3": "43d5e1a39af1b8d4",
     "clt_nonlinear_d1": "ad94058156ec64ee",
     "lrp_gaussian_d1": "99be8d4a01036ad3",
     "mdp_gaussian_d1": "ecc0b2079edf388d",

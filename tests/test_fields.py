@@ -94,6 +94,24 @@ def test_no_closed_form_for_nonlinear():
             discrete_box_variance(model, box(100.0))
         with pytest.raises(NoClosedFormError):
             exact_sigma2(model)
+    # blocks are not a grid moving average
+    with pytest.raises(NoClosedFormError):
+        discrete_box_variance(FieldModel(d=1, kind="iid_block", m=1.0),
+                              box(100.0))
+
+
+@pytest.mark.parametrize("d, sides", [(1, (10.3,)), (2, (8.0, 2.6)),
+                                      (3, (4.0, 3.0, 2.1))])
+@pytest.mark.parametrize("kernel", ["indicator", "triangle"])
+def test_grid_noise_weights_carry_the_discrete_variance(d, sides, kernel):
+    # the weighted pass and the closed-form variance share one set of weights
+    model = FieldModel(d=d, kind="bounded_nonlinear_ma", m=1.0, kernel=kernel)
+    b = box(*sides)
+    tag, ranges, (w,) = fields._noise_weights(model, [b])
+    assert tag == 11
+    assert ranges == [((0,) * d, tuple(n + 3 for n in _grid_points(model, b)))]
+    assert float((w * w).sum()) == pytest.approx(
+        discrete_box_variance(model, b), rel=1e-12)
 
 
 def test_exact_gaussian_cgf_quadratic():
@@ -192,8 +210,23 @@ def _fresh_integral(model, b, seed, replica):
     return float(model.grid_h ** model.d * g.sum())
 
 
+def _weighted_reference(model, b, seed, replica):
+    # reference for a moving average without nonlinearity: its noise cells
+    # from the halo corner times h^(3d/2) and, per axis, the full
+    # convolution of n ones with the taps
+    taps = _taps(model)
+    axes = [np.convolve(np.ones(n), taps, mode="full")
+            for n in _grid_points(model, b)]
+    w = axes[0]
+    for u in axes[1:]:
+        w = np.multiply.outer(w, u)
+    noise = white_noise(seed, replica, (0,) * model.d, w.shape)
+    return float((noise * (model.grid_h ** (1.5 * model.d) * w)).sum())
+
+
 CLIPPED1 = FieldModel(d=1, kind="bounded_nonlinear_ma", m=1.0,
                       nonlinearity="clipped")
+GRID2 = FieldModel(d=2, kind="bounded_nonlinear_ma", m=1.0, kernel="triangle")
 GRID3 = FieldModel(d=3, kind="bounded_nonlinear_ma", m=1.0)
 GRID4 = FieldModel(d=4, kind="bounded_nonlinear_ma", m=1.0,
                    nonlinearity="clipped")
@@ -207,6 +240,7 @@ GRID4 = FieldModel(d=4, kind="bounded_nonlinear_ma", m=1.0,
     (dataclasses.replace(CLIPPED1, d=2, clip_level=0.5),
      [box(40.0, 2.0), box(2.0, 40.0)], range(3)),
     (CLIPPED1, [box(30.0), box(1500.0)], range(7, 11)),
+    (GRID2, [box(17.0, 9.5), box(2.0, 3.0)], range(3)),
     # d = 4 takes the fallback tile shape, 8 cells per axis
     (GRID4, [box(2.0, 1.5, 1.0, 3.0)], range(2)),
 ])
@@ -215,10 +249,16 @@ def test_sample_box_integrals_match_per_replica_integrals(model, boxes,
     got = sample_box_integrals(model, boxes, 19, replicas)
     assert got.shape == (len(boxes), len(replicas))
     for row, b in zip(got, boxes):
-        assert [float(x) for x in row] == [
-            sample_integral(model, b, 19, i) for i in replicas]
-        assert [float(x) for x in row] == [
-            _fresh_integral(model, b, 19, i) for i in replicas]
+        values = [float(x) for x in row]
+        assert values == [sample_integral(model, b, 19, i) for i in replicas]
+        fresh = [_fresh_integral(model, b, 19, i) for i in replicas]
+        if model.nonlinearity == "clipped":
+            assert values == fresh
+        else:
+            # one weighted sum of the noise: field-then-sum differs by ulps
+            assert values == [_weighted_reference(model, b, 19, i)
+                              for i in replicas]
+            assert values == pytest.approx(fresh, rel=1e-12)
 
 
 @pytest.fixture
@@ -426,7 +466,7 @@ def test_grid_gaussian_field_variance(d, sides):
     b = box(*sides)
     n = 1500
     x = sample_integrals(model, b, 23, n)
-    var = discrete_box_variance(dataclasses.replace(model, kind="gaussian_ma"), b)
+    var = discrete_box_variance(model, b)
     stat = float((x * x).sum()) / var
     assert chi2.ppf(0.0005, n) < stat < chi2.ppf(0.9995, n)
 
