@@ -10,7 +10,7 @@ additivity (its pairs), audit (boxes with their base envelopes), mdp
 sampled in one pass over all boxes) and calibrate (one unit: the box
 family).  Units and rows are built one after another; ``workers`` only
 sets the threads of the sampler (``fields.sample_box_integrals`` and
-``fields.map_batch``), whose streams are counter-based and chunked at
+``fields.map_batch``), whose streams are keyed and chunked at
 fixed size, so the worker count never changes any output.
 """
 
@@ -255,8 +255,9 @@ def _clt_rows(cfg: ExperimentConfig, unit: tuple, workers: int) -> list[dict]:
     """KS goodness of fit of vol^(-1/2) * integral against N(0, sigma^2).
 
     sigma^2 is the continuum variance for a Gaussian moving average, the
-    grid variance for a simulated one without nonlinearity, and else the
-    sample variance."""
+    exact variance of the sampled integral (``discrete_box_variance``) for
+    a simulated model without nonlinearity, grid or i.i.d. blocks, and
+    else the sample variance."""
     b, samples = unit
     model = cfg.model
     v = vol(b)

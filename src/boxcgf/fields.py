@@ -6,18 +6,18 @@ step ``grid_h``.  Finite kernel support makes every model m-dependent,
 which is the concrete stand-in for the structural splitting property the
 bound calculus assumes.
 
-Noise is counter-based.  Cells are grouped in tiles of the shape
-``_TILE_SHAPE[d]``: 4096 cells in d = 1, 64 x 64 in d = 2, 64 x 8 x 8 in
+Noise is keyed.  Cells are grouped in tiles of the shape
+``_TILE_SHAPE[d]``: 2^16 cells in d = 1, 64 x 64 in d = 2, 64 x 8 x 8 in
 d = 3 and 8 per axis above.  Tile t of a replica is the stream
-``Philox(SeedSequence([seed, replica, tag, *(t + 2**40)]))`` read in C
+``SFC64(SeedSequence([seed, replica, tag, *(t + 2**40)]))`` read in C
 order, so each cell's standard normal depends only on (seed, replica,
 tag, cell): overlapping boxes share noise and parallel evaluation cannot
 change any value.  The grid noise lattice starts at the halo corner: a
 box of n points per axis reads the noise cells [0, n + k - 1) for k taps,
-so its halo costs no tile below 0.  The Philox keys of all the streams a
-call needs are derived in one vectorised pass of SeedSequence's hash, and
-a tile is drawn only up to the last cell read (a Philox
-``standard_normal(n)`` is the prefix of every longer draw).
+so its halo costs no tile below 0.  The SFC64 start states of all the
+streams a call needs are derived in one vectorised pass of SeedSequence's
+hash and SFC64's seeding, and a tile is drawn only up to the last cell
+read (an SFC64 ``standard_normal(n)`` is the prefix of every longer draw).
 
 I.i.d. blocks and grid moving averages without nonlinearity integrate a
 box as one weighted sum of its (transformed) noise cells.  Only clipped
@@ -37,11 +37,11 @@ import numpy.random  # the sampler's RNG, loaded with the module, not mid-run
 
 from .boxes import Box
 
-# 4096 cells each.  A tile is drawn only up to its last cell read in C
-# order, so cells of the first axis beyond a box cost nothing, while each
-# later axis can waste up to its edge less one cell per line: hence a
-# long first axis and short later ones.
-_TILE_SHAPE = {1: (4096,), 2: (64, 64), 3: (64, 8, 8)}
+# A tile is drawn only up to its last cell read in C order, so cells of
+# the first axis beyond a box cost nothing, while each later axis can
+# waste up to its edge less one cell per line: hence a long first axis
+# and short later ones, and in d = 1 one tile per box of up to 2^16 cells.
+_TILE_SHAPE = {1: (1 << 16,), 2: (64, 64), 3: (64, 8, 8)}
 _GRID_TAG = 11  # stream domain tags keep grid noise and block noise disjoint
 _BLOCK_TAG = 13
 _BATCH_TAG = 17
@@ -128,11 +128,11 @@ def _hasher(hc: int, mult: int):
     return hashmix
 
 
-def _seed_sequence_keys(words: list[np.ndarray]) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(2, np.uint64)`` of many
+def _sfc64_states(words: list[np.ndarray]) -> np.ndarray:
+    """``SFC64(SeedSequence(entropy)).state["state"]["state"]`` of many
     entropies at once: ``words[k]`` holds the k-th uint32 word of every
     entropy (each has at least 4), all broadcasting to one shape S; the
-    keys have shape S + (2,)."""
+    states have shape S + (4,)."""
     def mix(x, y):
         r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
         r ^= r >> np.uint32(16)
@@ -147,13 +147,21 @@ def _seed_sequence_keys(words: list[np.ndarray]) -> np.ndarray:
     for w in words[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(w))
-    # as numpy does: four uint32 words, read as two little-endian uint64
-    state = np.stack(list(map(_hasher(_INIT_B, _MULT_B), pool)), axis=-1)
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    # generate_state(3, np.uint64), as numpy does: six uint32 words hashed
+    # from the pool, cycled, read as three little-endian uint64
+    seeds = np.stack(list(map(_hasher(_INIT_B, _MULT_B), pool + pool[:2])),
+                     axis=-1).astype("<u4", copy=False).view("<u8")
+    a, b, c = (seeds[..., i].astype(np.uint64) for i in range(3))
+    # SFC64's seeding (numpy/random/src/sfc64): counter 1, then 12 steps
+    w = np.ones_like(a)
+    for _ in range(12):
+        a, b, c, w = (b ^ b >> 11, c + (c << 3),
+                      (c << 24 | c >> 40) + a + b + w, w + 1)
+    return np.stack([a, b, c, w], axis=-1)
 
 
-def _philox_keys(seed: int, replicas, tag: int, tiles) -> np.ndarray:
-    """``keys[i, j]``: the Philox key of ``Philox(SeedSequence([seed,
+def _stream_states(seed: int, replicas, tag: int, tiles) -> np.ndarray:
+    """``states[i, j]``: the start state of ``SFC64(SeedSequence([seed,
     replicas[i], tag, *(tiles[j] + 2**40)]))``, for every pair at once.
 
     ``tiles`` is a (T, d) array of tile indices; seed and replicas are
@@ -172,7 +180,7 @@ def _philox_keys(seed: int, replicas, tag: int, tiles) -> np.ndarray:
     seed_words = [s & _M32] + ([s >> 32] if s >> 32 else [])
     tile_words = [w for k in range(shifted.shape[-1])
                   for w in (shifted[..., k] & _M32, shifted[..., k] >> 32)]
-    keys = np.empty((len(reps), shifted.shape[1], 2), dtype=np.uint64)
+    states = np.empty((len(reps), shifted.shape[1], 4), dtype=np.uint64)
     # rows are grouped in Python: numpy's uint64 compare and mask loops
     # would page in more of numpy and raise the peak RSS
     for wide in (False, True):
@@ -180,23 +188,20 @@ def _philox_keys(seed: int, replicas, tag: int, tiles) -> np.ndarray:
         if rows:
             words = (seed_words + [w[rows] for w in rep_words[:1 + wide]]
                      + [tag] + tile_words)
-            keys[rows] = _seed_sequence_keys([
+            states[rows] = _sfc64_states([
                 np.array(w, dtype=np.uint32, ndmin=2) for w in words])
-    return keys
+    return states
 
 
-_ZEROS4 = np.zeros(4, dtype=np.uint64)
-
-
-def _draw_keyed(gen: np.random.Generator, key: np.ndarray,
+def _draw_keyed(gen: np.random.Generator, state: np.ndarray,
                 out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (C-contiguous) with the first ``out.size`` standard
-    normals of the Philox stream with key ``key``, counter 0 and an empty
-    buffer: those of ``Philox(SeedSequence(entropy))`` for the entropy that
-    ``_philox_keys`` turned into ``key``."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
-        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    normals of the SFC64 stream that starts at ``state``: those of
+    ``SFC64(SeedSequence(entropy))`` for the entropy that
+    ``_stream_states`` turned into ``state``."""
+    gen.bit_generator.state = {"bit_generator": "SFC64",
+                               "state": {"state": state},
+                               "has_uint32": 0, "uinteger": 0}
     return gen.standard_normal(out=out)
 
 
@@ -208,11 +213,11 @@ def _replica_noise(seed: int, tag: int,
     next replica.
 
     Each noise tile (of shape ``_TILE_SHAPE[d]``, or 8 cells per axis in
-    d >= 4) that the ranges touch is drawn once per replica, with the keys
-    of every (replica, tile) stream derived up front in one pass.  One generator
-    draws a tile only up to the last cell that a range reads, in C order:
-    straight into a range's buffer where that prefix is all it reads, and
-    else into a tile buffer the ranges copy from.
+    d >= 4) that the ranges touch is drawn once per replica, with the start
+    states of every (replica, tile) stream derived up front in one pass.
+    One generator draws a tile only up to the last cell that a range reads,
+    in C order: straight into a range's buffer where that prefix is all it
+    reads, and else into a tile buffer the ranges copy from.
     """
     d = len(ranges[0][0])
     shape = _TILE_SHAPE.get(d, (8,) * d)
@@ -227,9 +232,9 @@ def _replica_noise(seed: int, tag: int,
             last = [s.stop - 1 for s in src]
             end = 1 + int(np.ravel_multi_index(last, shape))
             plan.setdefault(tile, []).append((i, dst, src, end))
-    # the keys' temporaries are freed before any buffer is allocated
-    keys = _philox_keys(seed, replicas, tag,
-                        np.array(sorted(plan), dtype=np.int64).reshape(-1, d))
+    # the states' temporaries are freed before any buffer is allocated
+    states = _stream_states(seed, replicas, tag, np.array(
+        sorted(plan), dtype=np.int64).reshape(-1, d))
     noise = [np.empty(tuple(h - l for l, h in zip(lo, hi))) for lo, hi in ranges]
     tile_buf = np.empty(shape)
     steps = []
@@ -243,10 +248,10 @@ def _replica_noise(seed: int, tag: int,
             steps.append((tile_buf.reshape(-1)[:n], tile_buf, views))
         else:
             steps.append((direct, direct, [x for x in views if x[0] is not direct]))
-    gen = np.random.Generator(np.random.Philox(0))  # each draw sets its key
-    for row in keys:
-        for key, (target, block, copies) in zip(row, steps):
-            _draw_keyed(gen, key, target)
+    gen = np.random.Generator(np.random.SFC64(0))  # each draw sets its state
+    for row in states:
+        for state, (target, block, copies) in zip(row, steps):
+            _draw_keyed(gen, state, target)
             for view, src, _ in copies:
                 view[...] = block[src]
         yield noise
@@ -317,7 +322,7 @@ def _grid_integrals(model: FieldModel, boxes: list[Box], seed: int,
               for b in boxes]
     out = np.empty((len(boxes), len(replicas)))
     for col, noise in enumerate(_replica_noise(seed, _GRID_TAG, ranges, replicas)):
-        if col == 0:  # allocated after the noise keys' temporaries are freed
+        if col == 0:  # allocated after the noise states' temporaries are freed
             scratch = [np.empty(max(buf.size for buf in noise)) for _ in range(3)]
         for i, buf in enumerate(noise):
             g = _valid_correlate(buf, taps, scratch)
@@ -339,9 +344,15 @@ def sample_integral(model: FieldModel, b: Box, seed: int, replica: int) -> float
 
 
 def _axis_weights(model: FieldModel, b: Box) -> list[np.ndarray]:
-    """Per axis, the weight of each of the box's noise cells [0, n + k - 1)
-    in the sum over its n grid points: cell j feeds the outputs
-    j - k + 1 ... j, so its weight is the sum of the taps that reach them."""
+    """Per axis, the weight of each of the box's noise cells in its
+    integral, up to a scale: a block's overlap with the box side, or, for
+    a grid cell j of [0, n + k - 1), the sum of the taps that reach the n
+    grid points (j feeds the outputs j - k + 1 ... j)."""
+    if model.kind == "iid_block":
+        m = model.m
+        return [np.array([min(r, (i + 1) * m) - i * m
+                          for i in range(int(math.ceil(r / m - 1e-12)))])
+                for r in b.sides]
     taps = _taps(model)
     return [np.convolve(np.ones(n), taps, mode="full")
             for n in _grid_points(model, b)]
@@ -349,20 +360,16 @@ def _axis_weights(model: FieldModel, b: Box) -> list[np.ndarray]:
 
 def _noise_weights(model: FieldModel, boxes: list[Box]):
     """(tag, noise ranges, weights) of boxes whose integral is the sum of
-    their (transformed) noise cells times fixed weights: a block's overlap
-    with the box, or h^(3d/2) times the product of a grid cell's
-    ``_axis_weights`` (h^(d/2) scales the field, h^d is a cell's volume).
+    their (transformed) noise cells times fixed weights: the product of a
+    cell's ``_axis_weights``, times h^(3d/2) on the grid (h^(d/2) scales
+    the field, h^d is a cell's volume).
     """
     if model.kind == "iid_block":
-        tag, m = _BLOCK_TAG, model.m
-        weights = [reduce(np.multiply.outer, [
-            np.array([min(r, (i + 1) * m) - i * m
-                      for i in range(int(math.ceil(r / m - 1e-12)))])
-            for r in b.sides]) for b in boxes]
+        tag, scale = _BLOCK_TAG, 1.0
     else:
         tag, scale = _GRID_TAG, model.grid_h ** (1.5 * model.d)
-        weights = [scale * reduce(np.multiply.outer, _axis_weights(model, b))
-                   for b in boxes]
+    weights = [scale * reduce(np.multiply.outer, _axis_weights(model, b))
+               for b in boxes]
     return tag, [((0,) * model.d, w.shape) for w in weights], weights
 
 
@@ -380,14 +387,16 @@ def _weighted_integrals(model: FieldModel, boxes: list[Box], seed: int,
 
 
 def discrete_box_variance(model: FieldModel, b: Box) -> float:
-    """Exact variance of the grid-discretized integral of a moving average
-    without nonlinearity (``is_grid_gaussian``): h^(3d) times the sum of
-    the squared noise weights."""
+    """Exact variance of the sampled integral of a model without
+    nonlinearity (``is_grid_gaussian``): the sum of its squared noise
+    weights, per axis over ``_axis_weights``, times h^(3d) on the grid."""
     if not is_grid_gaussian(model):
         raise NoClosedFormError("no closed form for non-Gaussian model")
     acc = 1.0
     for u in _axis_weights(model, b):
         acc *= float((u * u).sum())
+    if model.kind == "iid_block":
+        return acc
     return model.grid_h ** (3 * model.d) * acc
 
 
@@ -413,17 +422,18 @@ def map_batch(fn, seed: int, replicas: range, workers: int = 1) -> list:
     normals at positions ``replicas[col:col + len(z)]``.
 
     Chunk i holds draws i * 2^16 ... of a stream keyed by (seed, i) alone.
-    The keys of all the chunks are derived before any is drawn.  Each task
-    draws its chunk up to the range's end, then cuts it, so no value
-    depends on the range and at most ``workers`` chunks are alive at once.
+    The start states of all the chunks are derived before any is drawn.
+    Each task draws its chunk up to the range's end, then cuts it, so no
+    value depends on the range and at most ``workers`` chunks are alive at
+    once.
     """
     chunks = range(replicas.start // _BATCH_CHUNK, -(-replicas.stop // _BATCH_CHUNK))
-    keys = _philox_keys(seed, chunks, _BATCH_TAG, [(0,)])[:, 0]
+    states = _stream_states(seed, chunks, _BATCH_TAG, [(0,)])[:, 0]
 
     def task(i: int):
         pos = chunks[i] * _BATCH_CHUNK
         lo, hi = max(replicas.start, pos), min(replicas.stop, pos + _BATCH_CHUNK)
-        z = _draw_keyed(np.random.Generator(np.random.Philox(0)), keys[i],
+        z = _draw_keyed(np.random.Generator(np.random.SFC64(0)), states[i],
                         np.empty(hi - pos))
         return fn(lo - replicas.start, z[lo - pos:])
 
@@ -437,16 +447,17 @@ def standard_batches(seed: int, n: int) -> list[np.ndarray]:
 
 def is_gaussian(model: FieldModel) -> bool:
     """Whether the model takes the Gaussian batch shortcut, with the
-    continuum oracles.  Every grid model without nonlinearity has a
-    closed-form law (``is_grid_gaussian``), but the others are simulated."""
+    continuum oracles.  Every model without nonlinearity has a closed-form
+    law (``is_grid_gaussian``), but only these skip the simulation."""
     return model.kind == "gaussian_ma" and model.nonlinearity == "identity"
 
 
 def is_grid_gaussian(model: FieldModel) -> bool:
-    """Whether the grid integral is exactly N(0, ``discrete_box_variance``):
-    a moving average of either kind without nonlinearity, whose integral
-    is a fixed weighted sum of independent normal noise cells."""
-    return model.kind != "iid_block" and model.nonlinearity == "identity"
+    """Whether the sampled integral is exactly N(0,
+    ``discrete_box_variance``): a model of any kind without nonlinearity,
+    whose integral is a fixed weighted sum of independent normal noise
+    cells (grid cells or blocks)."""
+    return model.nonlinearity == "identity"
 
 
 def sample_integrals(model: FieldModel, b: Box, seed: int, n_samples: int,

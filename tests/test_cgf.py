@@ -74,10 +74,11 @@ def test_estimate_interpolation_flag():
         est.value_at(0.5)
 
 
-@pytest.mark.parametrize("seed", [6, 27, 31, 48])
+@pytest.mark.parametrize("seed", [8, 15, 17, 56])
 def test_estimate_survives_mean_outside_its_ci(seed):
     # on these seeds the sample mean lies outside its own 95% interval, so
-    # f < -ci at small |lambda|; that is no fault, only Jensen must hold
+    # f < -ci at small |lambda|; that is no fault, only Jensen must hold.
+    # They are all the seeds of 0 ... 99 where it does.
     clipped = FieldModel(d=1, kind="bounded_nonlinear_ma", m=1.0,
                          nonlinearity="clipped")
     b = box(8.0)

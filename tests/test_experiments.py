@@ -202,6 +202,16 @@ def test_clt_grid_gaussian_reference_is_the_grid_variance():
     assert row["sigma2_ref"] != row["sigma2_hat"] and row["pass"]
 
 
+def test_clt_block_reference_is_the_sum_of_squared_overlaps():
+    # Gaussian blocks are exactly normal: 37 whole unit blocks and half of
+    # one give Var = 37 + 0.5^2
+    model = {"d": 1, "kind": "iid_block", "m": 1.0}
+    cfg = small_config(model=model, boxes=[[37.5]], n_replicas=2_000)
+    (row,) = RUNNERS["clt"](cfg).rows
+    assert row["sigma2_ref"] == 37.25 / 37.5
+    assert row["sigma2_ref"] != row["sigma2_hat"] and row["pass"]
+
+
 def test_clt_nonlinear_model():
     cfg = small_config(
         model={"d": 1, "kind": "bounded_nonlinear_ma", "m": 1.0,
@@ -408,19 +418,19 @@ def test_mdp_count_bytes_do_not_depend_on_workers():
 @pytest.mark.parametrize("boxes", [[[1000.0]], [[50.0], [200.0], [1000.0]]])
 def test_mdp_count_draws_each_batch_chunk_once(boxes, workers, monkeypatch):
     n = 2 * (1 << 16) + 100
-    keys = []
+    states = []
     draw = fields._draw_keyed
 
-    def counted(gen, key, out):
-        keys.append(tuple(key))
-        return draw(gen, key, out)
+    def counted(gen, state, out):
+        states.append(tuple(state))
+        return draw(gen, state, out)
 
     monkeypatch.setattr(fields, "_draw_keyed", counted)
     cfg = small_config(boxes=boxes, n_samples=n)
     RUNNERS["mdp"](cfg, workers=workers)
-    chunk_keys = [tuple(np.random.SeedSequence([cfg.seed, i, 17, 2 ** 40])
-                        .generate_state(2, np.uint64)) for i in range(3)]
-    assert sorted(keys) == sorted(chunk_keys)  # ceil(n / 2^16) chunks
+    chunk_states = [tuple(np.random.SFC64(np.random.SeedSequence(
+        [cfg.seed, i, 17, 2 ** 40])).state["state"]["state"]) for i in range(3)]
+    assert sorted(states) == sorted(chunk_states)  # ceil(n / 2^16) chunks
 
 
 def test_one_worker_starts_no_thread(monkeypatch):
@@ -636,14 +646,15 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1: the sampled values and
 # the KS p-values depend on those versions.
 DEFAULT_CSV_SHA256 = {
-    "additivity_gaussian_d1": "5be2e671beb44455",
+    "additivity_gaussian_d1": "552ff51edb95f07d",
     "audit_gaussian_d1": "7e6812b393fa90bb",
     "audit_gaussian_d2": "741b9f2db235944a",
     "calibrate_gaussian_d1": "1137bb9800c9ff1b",
-    "clt_gaussian_d3": "43d5e1a39af1b8d4",
-    "clt_nonlinear_d1": "ad94058156ec64ee",
-    "lrp_gaussian_d1": "99be8d4a01036ad3",
-    "mdp_gaussian_d1": "ecc0b2079edf388d",
+    "clt_gaussian_block_d1": "db12a56cea2baded",
+    "clt_gaussian_d3": "edc20844ae2a4181",
+    "clt_nonlinear_d1": "6d768efc1bc26492",
+    "lrp_gaussian_d1": "9922bc7ef54b1f80",
+    "mdp_gaussian_d1": "395dfcc2db43830d",
 }
 
 

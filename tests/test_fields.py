@@ -86,7 +86,7 @@ def test_discrete_variance_frozen_value():
 
 
 def test_no_closed_form_for_nonlinear():
-    for kind in ("bounded_nonlinear_ma", "gaussian_ma"):
+    for kind in ("bounded_nonlinear_ma", "gaussian_ma", "iid_block"):
         model = FieldModel(d=1, kind=kind, m=1.0, nonlinearity="clipped")
         with pytest.raises(NoClosedFormError):
             exact_box_variance(model, box(100.0))
@@ -94,10 +94,22 @@ def test_no_closed_form_for_nonlinear():
             discrete_box_variance(model, box(100.0))
         with pytest.raises(NoClosedFormError):
             exact_sigma2(model)
-    # blocks are not a grid moving average
+    # Gaussian blocks have the law N(0, sum of squared overlaps), but no
+    # continuum oracle
+    blocks = FieldModel(d=1, kind="iid_block", m=1.0)
+    assert discrete_box_variance(blocks, box(100.5)) == 100.25
     with pytest.raises(NoClosedFormError):
-        discrete_box_variance(FieldModel(d=1, kind="iid_block", m=1.0),
-                              box(100.0))
+        exact_box_variance(blocks, box(100.0))
+
+
+@pytest.mark.parametrize("sides", [(37.5,), (70.0, 65.5), (17.0, 5.0, 9.5)])
+def test_block_noise_weights_carry_the_discrete_variance(sides):
+    model = FieldModel(d=len(sides), kind="iid_block", m=2.5)
+    b = box(*sides)
+    tag, ranges, (w,) = fields._noise_weights(model, [b])
+    assert tag == 13 and ranges == [((0,) * len(sides), w.shape)]
+    assert float((w * w).sum()) == pytest.approx(
+        discrete_box_variance(model, b), rel=1e-12)
 
 
 @pytest.mark.parametrize("d, sides", [(1, (10.3,)), (2, (8.0, 2.6)),
@@ -233,7 +245,7 @@ GRID4 = FieldModel(d=4, kind="bounded_nonlinear_ma", m=1.0,
 
 
 @pytest.mark.parametrize("model, boxes, replicas", [
-    # a duplicated box, and a box narrower than one 4096-cell tile
+    # a duplicated box, and a box narrower than one 2^16-cell tile
     (CLIPPED1, [box(2000.0), box(30.0), box(2000.0)], range(3)),
     (GRID3, [box(8.0, 8.0, 8.0), box(10.0, 8.0, 6.0)], range(2)),
     # non-nested boxes: neither one's tiles contain the other's
@@ -263,22 +275,22 @@ def test_sample_box_integrals_match_per_replica_integrals(model, boxes,
 
 @pytest.fixture
 def draws(monkeypatch):
-    """(key, size) of every keyed noise draw the test makes."""
+    """(start state, size) of every keyed noise draw the test makes."""
     calls = []
     draw = fields._draw_keyed
 
-    def counted(gen, key, out):
-        calls.append((tuple(key), out.size))
-        return draw(gen, key, out)
+    def counted(gen, state, out):
+        calls.append((tuple(state), out.size))
+        return draw(gen, state, out)
 
     monkeypatch.setattr(fields, "_draw_keyed", counted)
     return calls
 
 
-def _batch_key(seed, chunk):
-    """The key of a batch chunk's stream, as numpy's SeedSequence derives it."""
-    return tuple(np.random.SeedSequence([seed, chunk, 17, 2 ** 40])
-                 .generate_state(2, np.uint64))
+def _batch_state(seed, chunk):
+    """The start state of a batch chunk's stream, as numpy seeds it."""
+    return tuple(np.random.SFC64(np.random.SeedSequence(
+        [seed, chunk, 17, 2 ** 40])).state["state"]["state"])
 
 
 def test_sample_box_integrals_draw_each_tile_once_per_replica(draws):
@@ -298,15 +310,14 @@ def test_sample_box_integrals_draw_each_tile_once_per_replica(draws):
     draws.clear()
     sample_box_integrals(GAUSS1, [box(10.0), box(200.0), box(50.0)], 5,
                          range(200_000))
-    assert sorted(k for k, _ in draws) == sorted(_batch_key(5, i) for i in range(4))
+    assert sorted(k for k, _ in draws) == sorted(_batch_state(5, i) for i in range(4))
 
 
 def test_clt_grid_d1_box_draws_only_the_cells_it_reads(draws):
-    # 40 003 noise cells [0, 40003): nine whole tiles and the 3139-cell
-    # prefix of the last
+    # 40 003 noise cells [0, 40003): one draw per replica, the prefix of
+    # the first 2^16-cell tile
     sample_box_integrals(CLIPPED1, [box(10000.0)], 5, range(2))
-    assert [n for _, n in draws] == 2 * ([4096] * 9 + [3139])
-    assert sum(n for _, n in draws) == 2 * 40_003
+    assert [n for _, n in draws] == [40_003, 40_003]
 
 
 def test_block_tiles_are_drawn_to_the_last_block_read(draws):
@@ -328,61 +339,61 @@ _EDGE_WORDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]  # one or two uint32 wor
        replicas=st.lists(st.sampled_from(_EDGE_WORDS) | st.integers(0, 2 ** 40),
                          min_size=1, max_size=4),
        tag=st.sampled_from([11, 13, 17]),
-       tiles=st.integers(1, 3).flatmap(lambda d: st.lists(
+       tiles=st.integers(1, 4).flatmap(lambda d: st.lists(
            st.tuples(*[st.integers(-300, 300)] * d), min_size=1, max_size=4)))
 @example(seed=0, replicas=[0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1], tag=11,
          tiles=[(-1,), (0,), (9,)])
 @example(seed=2 ** 32 - 1, replicas=[2 ** 32 + 7, 5], tag=13,
          tiles=[(-1, -1), (0, 3)])
 @example(seed=2 ** 32, replicas=[3], tag=17, tiles=[(-1, 0, -2), (1, 1, 1)])
+@example(seed=5, replicas=[2 ** 33, 9], tag=11, tiles=[(1, 0, -2, 0)])
 @settings(max_examples=60, deadline=None)
 def test_philox_keys_match_seed_sequence(seed, replicas, tag, tiles):
-    keys = fields._philox_keys(seed, replicas, tag, tiles)
-    assert keys.shape == (len(replicas), len(tiles), 2)
+    states = fields._stream_states(seed, replicas, tag, tiles)
+    assert states.shape == (len(replicas), len(tiles), 4)
     for i, r in enumerate(replicas):
         for j, t in enumerate(tiles):
             entropy = [seed, r, tag] + [x + 2 ** 40 for x in t]
-            np.testing.assert_array_equal(
-                keys[i, j],
-                np.random.SeedSequence(entropy).generate_state(2, np.uint64))
+            want = np.random.SFC64(np.random.SeedSequence(entropy))
+            assert (states[i, j] == want.state["state"]["state"]).all()
 
 
 def test_philox_keys_refuse_a_tile_word_below_two_uint32_words():
     # t + 2**40 below 2**32 would be one entropy word, not the two assumed
-    fields._philox_keys(0, [0], 11, [(2 ** 32 - 2 ** 40,)])
+    fields._stream_states(0, [0], 11, [(2 ** 32 - 2 ** 40,)])
     with pytest.raises(ValueError, match="tile index"):
-        fields._philox_keys(0, [0], 11, [(2 ** 32 - 2 ** 40 - 1,)])
+        fields._stream_states(0, [0], 11, [(2 ** 32 - 2 ** 40 - 1,)])
 
 
 def _tile_shape(d):
     # the tile shapes as the streams define them
-    return {1: (4096,), 2: (64, 64), 3: (64, 8, 8)}.get(d, (8,) * d)
+    return {1: (1 << 16,), 2: (64, 64), 3: (64, 8, 8)}.get(d, (8,) * d)
 
 
 @pytest.mark.parametrize("tile", [(-1,), (3, 0), (0, -1, 2), (1, 0, -2, 0)])
 def test_keyed_draw_is_the_seed_sequence_stream(tile):
     shape = _tile_shape(len(tile))
     entropy = [2 ** 40 + 9, 2 ** 32 + 1, 13] + [t + 2 ** 40 for t in tile]
-    want = np.random.Generator(np.random.Philox(
+    want = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(entropy))).standard_normal(shape)
-    key = fields._philox_keys(entropy[0], [entropy[1]], 13, [tile])[0, 0]
-    gen = np.random.Generator(np.random.Philox(0))
+    state = fields._stream_states(entropy[0], [entropy[1]], 13, [tile])[0, 0]
+    gen = np.random.Generator(np.random.SFC64(0))
     # whole, then a prefix: each draw starts the stream afresh
     np.testing.assert_array_equal(
-        fields._draw_keyed(gen, key, np.empty(shape)), want)
+        fields._draw_keyed(gen, state, np.empty(shape)), want)
     np.testing.assert_array_equal(
-        fields._draw_keyed(gen, key, np.empty(1000)), want.reshape(-1)[:1000])
+        fields._draw_keyed(gen, state, np.empty(1000)), want.reshape(-1)[:1000])
 
 
 def _reference_noise(seed, replica, lo, hi, tag=11):
-    # the streams' definition: each tile a fresh Philox(SeedSequence), drawn
+    # the streams' definition: each tile a fresh SFC64(SeedSequence), drawn
     # whole, its cells cut out of it
     shape = _tile_shape(len(lo))
     out = np.empty([h - l for l, h in zip(lo, hi)])
     for tile in product(*[range(l // tl, (h - 1) // tl + 1)
                           for l, h, tl in zip(lo, hi, shape)]):
         entropy = [seed, replica, tag] + [t + 2 ** 40 for t in tile]
-        block = np.random.Generator(np.random.Philox(
+        block = np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(entropy))).standard_normal(shape)
         cut = [(max(l, t * tl), min(h, (t + 1) * tl))
                for t, l, h, tl in zip(tile, lo, hi, shape)]
@@ -451,7 +462,7 @@ def test_gaussian_range_draws_only_its_batch_chunks(workers, draws):
     boxes = [box(10.0), box(200.0)]
     got = sample_box_integrals(GAUSS1, boxes, 8, replicas, workers)
     # not the 3 chunks before
-    assert sorted(k for k, _ in draws) == sorted(_batch_key(8, i) for i in (3, 4))
+    assert sorted(k for k, _ in draws) == sorted(_batch_state(8, i) for i in (3, 4))
     np.testing.assert_array_equal(
         got, [discrete_box_std(GAUSS1, b) * full[replicas.start:]
               for b in boxes])
