@@ -19,6 +19,9 @@ from .fields import FieldModel, exact_box_variance, sample_integrals
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 MIN_EFFECTIVE_SAMPLES = 30.0
+LAMBDA_POINTS_PER_DECADE = 32  # ``lambda_grid``: log-spaced points per decade
+LAMBDA_DECADES = 3.0           # and decades below the grid's radius
+MAX_RATIO_CI = 0.25  # largest ci/lam^2 of a grid point an envelope fit uses
 
 
 class CgfError(ValueError):
@@ -158,29 +161,27 @@ def delta_cap(v: float, C: float, d: int) -> float:
     return math.sqrt(s) / (C * log_pow(s, d - 1))
 
 
-def lambda_grids(deltas, points_per_decade: int = 32,
-                 decades: float = 3.0) -> np.ndarray:
+def lambda_grids(deltas) -> np.ndarray:
     """One ``lambda_grid`` per row, row i on [-deltas[i], deltas[i]].
 
     The endpoints come from ``math.log10``; numpy only spaces them, so
     every row equals its one-row grid to the bit.
     """
     top = np.array([math.log10(dl) for dl in deltas])
-    pos = np.logspace(top - decades, top,
-                      int(points_per_decade * decades) + 1).T
+    pos = np.logspace(top - LAMBDA_DECADES, top,
+                      int(LAMBDA_POINTS_PER_DECADE * LAMBDA_DECADES) + 1).T
     return np.concatenate([-pos[:, ::-1], np.zeros((len(top), 1)), pos],
                           axis=1)
 
 
-def lambda_grid(delta: float, points_per_decade: int = 32,
-                decades: float = 3.0) -> np.ndarray:
+def lambda_grid(delta: float) -> np.ndarray:
     """Symmetric log-spaced grid on [-delta, delta] including 0."""
-    return lambda_grids([delta], points_per_decade, decades)[0]
+    return lambda_grids([delta])[0]
 
 
 def quad_envelopes(boxes: list[Box], lam: np.ndarray, f: np.ndarray,
-                   ci: np.ndarray, reliable: np.ndarray, deltas,
-                   max_ratio_ci: float = 0.25) -> list[QuadEnvelope | str]:
+                   ci: np.ndarray, reliable: np.ndarray,
+                   deltas) -> list[QuadEnvelope | str]:
     """``quad_envelope`` of stacked estimates: row i is the CGF of
     boxes[i] on its own grid lam[i], fitted on (0, deltas[i]].
 
@@ -189,7 +190,7 @@ def quad_envelopes(boxes: list[Box], lam: np.ndarray, f: np.ndarray,
     delta = np.array(deltas, dtype=float)[:, None]
     mask = (np.abs(lam) > 0.0) & (np.abs(lam) <= delta) & reliable
     lam2 = np.where(mask, lam * lam, 1.0)
-    mask &= ci / lam2 <= max_ratio_ci
+    mask &= ci / lam2 <= MAX_RATIO_CI
     lo = np.where(mask, (f - ci) / lam2, np.inf).min(axis=1).tolist()
     hi = np.where(mask, (f + ci) / lam2, -np.inf).max(axis=1).tolist()
     out: list[QuadEnvelope | str] = []
@@ -205,51 +206,16 @@ def quad_envelopes(boxes: list[Box], lam: np.ndarray, f: np.ndarray,
     return out
 
 
-def quad_envelope(est: CgfEstimate, delta: float,
-                  max_ratio_ci: float = 0.25) -> QuadEnvelope:
+def quad_envelope(est: CgfEstimate, delta: float) -> QuadEnvelope:
     """Quadratic envelope coefficients fitted on the window (0, delta].
 
     Bounds are widened by the per-point confidence interval, so the true
     curve lies inside the envelope up to the CI coverage.  Grid points
-    whose ratio uncertainty ci/lam^2 exceeds ``max_ratio_ci`` carry no
+    whose ratio uncertainty ci/lam^2 exceeds ``MAX_RATIO_CI`` carry no
     information about the coefficient and are skipped.
     """
     (env,) = quad_envelopes([est.box], est.lambdas[None], est.f[None],
-                            est.ci[None], est.reliable[None], [delta],
-                            max_ratio_ci)
+                            est.ci[None], est.reliable[None], [delta])
     if isinstance(env, str):
         raise CgfError(env)
     return env
-
-
-def oscillation_check(est: CgfEstimate, delta: float, C2: float = 1.0) -> dict:
-    """Spread of f(lam)/lam^2 over (0, delta] against the cubic-remainder cap.
-
-    The cap (82/(3 e^2)) (2 C2)^3 delta applies when 2*C2*delta <= 1 and
-    f(+-1/C2) <= 1; the latter is verified from the data and reported.
-    """
-    if 2.0 * C2 * delta > 1.0:
-        raise CgfError("C2 hypothesis violated: need 2*C2*delta <= 1")
-    lam = est.lambdas
-    hypothesis_ok = True
-    for s in (-1.0, 1.0):
-        probe = s / C2
-        if est.quad_coeff is None and (probe < lam.min() or probe > lam.max()):
-            hypothesis_ok = False  # unverifiable from this grid
-            continue
-        fv, cv, _ = est.value_at(probe)
-        if fv > 1.0 + cv:
-            hypothesis_ok = False
-    mask = (np.abs(lam) > 0.0) & (np.abs(lam) <= delta) & est.reliable
-    if not mask.any():
-        raise CgfError("no reliable grid points in (0, delta]")
-    ratios = est.f[mask] / lam[mask] ** 2
-    slack = float((est.ci[mask] / lam[mask] ** 2).max())
-    osc = float(ratios.max() - ratios.min())
-    bound = (82.0 / (3.0 * math.e ** 2)) * (2.0 * C2) ** 3 * delta
-    return {
-        "osc": osc,
-        "bound": bound,
-        "pass": osc <= bound + 2.0 * slack,
-        "hypothesis_ok": hypothesis_ok,
-    }

@@ -81,6 +81,12 @@ class ExperimentConfig:
         if scale is not None and not 0.0 < scale < math.inf:
             raise ConfigError("audit_base_scale must be positive and finite, "
                               f"got {scale!r}")
+        for key, x in ([("c_grid", c) for c in self.c_grid]
+                       + [("additivity_pairs", x)
+                          for pair in self.additivity_pairs for x in pair]):
+            if not 0.0 < x < math.inf:
+                raise ConfigError(f"{key} entries must be positive and "
+                                  f"finite, got {x!r}")
         for b in self.boxes:
             if b.d != self.model.d:
                 raise ConfigError(f"box {b.sides} does not match model dimension")

@@ -403,7 +403,8 @@ def ladder_descent(b: Box, lam: float, params: EngineParams,
     The depth solves 2^(n-1) < K <= 2^n for
     K = (2d)^(2d(d-1)) (C3 |lam|)^(2d) v^(1-d) log^(2d(d-1)) (sqrt(v)/(C3 |lam|)),
     computed in log2 space; n < 0 is clamped to 0 and recorded.  Small
-    lambda short-circuits to (n, mu) = (0, lam).
+    lambda short-circuits to n = 0: the chain [lam], mu = lam, x_sum 0.
+    Every side condition is evaluated at the chosen n and reported.
     """
     if direction not in ("up", "down"):
         raise CertificateError(f"unknown direction {direction!r}")
@@ -418,26 +419,18 @@ def ladder_descent(b: Box, lam: float, params: EngineParams,
     if c3 * abs(lam) > math.sqrt(v) / log_pow(v, d):
         raise CertificateError("lambda outside the admissible descent range")
 
-    checks: list[SideCondition] = []
-
-    small_cap = eps * math.sqrt(face_scale(v, d)) / log_pow(v, d - 1)
-    if abs(lam) <= small_cap:
-        mu = lam
-        cert = LadderCertificate(direction=direction, n=0, lambda_seq=[lam],
-                                 mu=mu, x_sum=0.0, short_circuit=True,
-                                 n_clamped=False, checks=checks)
-        _ladder_checks(cert, b, lam, params)
-        return cert
-
-    ratio = math.sqrt(v) / (c3 * abs(lam))
-    log2_k = 2 * d * math.log2(c3 * abs(lam)) - (d - 1) * math.log2(v)
-    if d > 1:
-        if ratio <= 1.0:
-            raise CertificateError("lambda too large for the descent depth rule")
-        log2_k += 2 * d * (d - 1) * (math.log2(2 * d)
-                                     + math.log2(math.log(ratio)))
-    n = max(0, math.ceil(log2_k - 1e-12))
-    clamped = log2_k <= 0.0
+    short = abs(lam) <= eps * math.sqrt(face_scale(v, d)) / log_pow(v, d - 1)
+    n, clamped = 0, False
+    if not short:
+        ratio = math.sqrt(v) / (c3 * abs(lam))
+        log2_k = 2 * d * math.log2(c3 * abs(lam)) - (d - 1) * math.log2(v)
+        if d > 1:
+            if ratio <= 1.0:
+                raise CertificateError("lambda too large for the descent depth rule")
+            log2_k += 2 * d * (d - 1) * (math.log2(2 * d)
+                                         + math.log2(math.log(ratio)))
+        n = max(0, math.ceil(log2_k - 1e-12))
+        clamped = log2_k <= 0.0
 
     lambda_seq = [lam]
     sgn = math.copysign(1.0, lam)
@@ -449,49 +442,42 @@ def ladder_descent(b: Box, lam: float, params: EngineParams,
             raise CertificateError(f"ladder collapsed at level {k}")
         lambda_seq.append(sgn / (2.0 ** (k / 2.0) * inv))
     mu = lambda_seq[-1]
-    x_sum = sum(1.0 / (iso_length(v / 2.0 ** k, d) * _log_sd(v / 2.0 ** k, d))
-                for k in range(n))
+    x_sum = sum((1.0 / (iso_length(v / 2.0 ** k, d) * _log_sd(v / 2.0 ** k, d))
+                 for k in range(n)), 0.0)
 
-    cert = LadderCertificate(direction=direction, n=n, lambda_seq=lambda_seq,
-                             mu=mu, x_sum=x_sum, short_circuit=False,
-                             n_clamped=clamped, checks=checks)
-    _ladder_checks(cert, b, lam, params)
-    return cert
-
-
-def _ladder_checks(cert: LadderCertificate, b: Box, lam: float,
-                   params: EngineParams) -> None:
-    d, v, eps = b.d, vol(b), params.eps
-    n, mu = cert.n, cert.mu
     sub = halve_n(b, n)
-    w_sub = width(sub)
-    cert.checks.append(SideCondition("width(B/2^n) >= W",
-                                     w_sub >= params.w_min,
-                                     w_sub - params.w_min))
+    w_sub, v_sub = width(sub), vol(sub)
     scaled = 2.0 ** (n / 2.0) * abs(mu)
-    if cert.direction == "up":
-        cert.checks.append(SideCondition("2^(n/2)|mu| <= (1+eps)|lam|",
-                                         scaled <= (1.0 + eps) * abs(lam) + 1e-15,
-                                         (1.0 + eps) * abs(lam) - scaled))
+    checks = [SideCondition("width(B/2^n) >= W", w_sub >= params.w_min,
+                            w_sub - params.w_min)]
+    if direction == "up":
+        checks.append(SideCondition("2^(n/2)|mu| <= (1+eps)|lam|",
+                                    scaled <= (1.0 + eps) * abs(lam) + 1e-15,
+                                    (1.0 + eps) * abs(lam) - scaled))
     else:
-        cert.checks.append(SideCondition("2^(n/2)|mu| >= (1-eps)|lam|",
-                                         scaled >= (1.0 - eps) * abs(lam) - 1e-15,
-                                         scaled - (1.0 - eps) * abs(lam)))
-        cert.checks.append(SideCondition("2^(n/2)|mu| <= |lam|",
-                                         scaled <= abs(lam) + 1e-15,
-                                         abs(lam) - scaled))
-    v_sub = vol(sub)
+        checks += [SideCondition("2^(n/2)|mu| >= (1-eps)|lam|",
+                                 scaled >= (1.0 - eps) * abs(lam) - 1e-15,
+                                 scaled - (1.0 - eps) * abs(lam)),
+                   SideCondition("2^(n/2)|mu| <= |lam|",
+                                 scaled <= abs(lam) + 1e-15, abs(lam) - scaled)]
     mu_cap = eps * math.sqrt(face_scale(v_sub, d)) / log_pow(v_sub, d - 1)
-    cert.checks.append(SideCondition("|mu| <= eps sqrt(S)/log^(d-1) vol at B/2^n",
-                                     abs(mu) <= mu_cap + 1e-15, mu_cap - abs(mu)))
     x_cap = eps * abs(lam) / math.sqrt(v)
-    cert.checks.append(SideCondition("sum x_k <= eps |lam|/sqrt(v)",
-                                     cert.x_sum <= x_cap + 1e-15,
-                                     x_cap - cert.x_sum))
+    checks += [SideCondition("|mu| <= eps sqrt(S)/log^(d-1) vol at B/2^n",
+                             abs(mu) <= mu_cap + 1e-15, mu_cap - abs(mu)),
+               SideCondition("sum x_k <= eps |lam|/sqrt(v)",
+                             x_sum <= x_cap + 1e-15, x_cap - x_sum)]
+    return LadderCertificate(direction=direction, n=n, lambda_seq=lambda_seq,
+                             mu=mu, x_sum=x_sum, short_circuit=short,
+                             n_clamped=clamped, checks=checks)
+
+
+# the step exponents p of every calibration check, and the lambdas drawn
+# per (box, direction, p)
+CALIBRATION_P_GRID = (1.25, 1.5, 2.0, 4.0)
+CALIBRATION_LAMBDAS = 8
 
 
 def calibrate_c1(oracle_for, box_family: list[Box], params_base: EngineParams,
-                 p_grid=(1.25, 1.5, 2.0, 4.0), lambdas_per_box: int = 8,
                  candidates=None, seed: int = 0) -> tuple[float, list[dict]]:
     """Smallest drift constant making both single-step inequalities pass.
 
@@ -517,9 +503,9 @@ def calibrate_c1(oracle_for, box_family: list[Box], params_base: EngineParams,
             if width(bx) < cand:
                 continue
             for direction in ("up", "down"):
-                for p in p_grid:
+                for p in CALIBRATION_P_GRID:
                     cap = admissible_lambda_cap(bx, params, p, direction)
-                    for frac in rng.uniform(0.05, 1.0, size=lambdas_per_box):
+                    for frac in rng.uniform(0.05, 1.0, size=CALIBRATION_LAMBDAS):
                         lam = frac * cap
                         res = single_step_check(f_b, f_h, params, p, lam, direction)
                         res.update(sides=bx.sides, p=p, lam=lam,

@@ -122,9 +122,12 @@ def _lrp_rows(cfg: ExperimentConfig, b: Box, workers: int) -> list[dict]:
     return rows
 
 
-def _clopper_pearson_upper(n: int, alpha: float = 0.05) -> float:
-    """Upper confidence bound on p after 0 hits in n trials."""
-    return 1.0 - alpha ** (1.0 / n)
+CLOPPER_PEARSON_ALPHA = 0.05
+
+
+def _clopper_pearson_upper(n: int) -> float:
+    """Upper 95% confidence bound on p after 0 hits in n trials."""
+    return 1.0 - CLOPPER_PEARSON_ALPHA ** (1.0 / n)
 
 
 def _mdp_importance_row(model, b: Box, samples: np.ndarray, threshold: float,
@@ -438,7 +441,10 @@ def _audit_rows(cfg: ExperimentConfig, unit: tuple, workers: int) -> list[dict]:
         samples = sample_integrals(model, b, cfg.seed, cfg.n_replicas, workers)
         reference = float((samples / math.sqrt(v)).var(ddof=1)) / 2.0
     sound = lower <= reference * (1 + 1e-9) and upper >= reference * (1 - 1e-9)
-    lam_probe = 0.5 * math.sqrt(v) / (params.c3 * math.log(v) ** model.d)
+    # half the largest descent lambda; a box of volume 1 has no descent
+    # range, and ladder_descent rejects it before it reads lambda
+    log_v = math.log(v) ** model.d
+    lam_probe = 0.5 * math.sqrt(v) / (params.c3 * log_v) if log_v else math.inf
     try:
         cert = ladder_descent(b, lam_probe, params, "up")
         ladder_ok = not any(c.name.startswith("width") and not c.ok

@@ -331,18 +331,6 @@ def _grid_integrals(model: FieldModel, boxes: list[Box], seed: int,
     return out
 
 
-def sample_integral(model: FieldModel, b: Box, seed: int, replica: int) -> float:
-    """One realization of the integral of the field over the box.
-
-    Deterministic in (model, box, seed, replica); bit-identical under any
-    execution order.
-    """
-    if b.d != model.d:
-        raise FieldModelError("box dimension does not match model dimension")
-    return float(_replica_pass(model, [b], seed,
-                               range(replica, replica + 1))[0, 0])
-
-
 def _axis_weights(model: FieldModel, b: Box) -> list[np.ndarray]:
     """Per axis, the weight of each of the box's noise cells in its
     integral, up to a scale: a block's overlap with the box side, or, for
@@ -440,11 +428,6 @@ def map_batch(fn, seed: int, replicas: range, workers: int = 1) -> list:
     return _map_chunks(task, range(len(chunks)), workers)
 
 
-def standard_batches(seed: int, n: int) -> list[np.ndarray]:
-    """The first n standard normals of the batch stream, chunk by chunk."""
-    return map_batch(lambda col, z: z, seed, range(n))
-
-
 def is_gaussian(model: FieldModel) -> bool:
     """Whether the model takes the Gaussian batch shortcut, with the
     continuum oracles.  Every model without nonlinearity has a closed-form
@@ -460,6 +443,13 @@ def is_grid_gaussian(model: FieldModel) -> bool:
     return model.nonlinearity == "identity"
 
 
+def sample_integral(model: FieldModel, b: Box, seed: int, replica: int) -> float:
+    """Replica ``replica`` of the box integral: the one-box, one-replica
+    ``sample_box_integrals``, so ``sample_integrals(...)[replica]``."""
+    return float(sample_box_integrals(model, [b], seed,
+                                      range(replica, replica + 1))[0, 0])
+
+
 def sample_integrals(model: FieldModel, b: Box, seed: int, n_samples: int,
                      workers: int = 1) -> np.ndarray:
     """Replicas 0 ... n_samples - 1 of the box integral: the one-box
@@ -468,13 +458,6 @@ def sample_integrals(model: FieldModel, b: Box, seed: int, n_samples: int,
 
 
 REPLICA_CHUNK = 256  # replicas per unit of work of a grid or block pass
-
-
-def _replica_pass(model: FieldModel, boxes: list[Box], seed: int,
-                  replicas: range) -> np.ndarray:
-    if model.kind == "iid_block" or is_grid_gaussian(model):
-        return _weighted_integrals(model, boxes, seed, replicas)
-    return _grid_integrals(model, boxes, seed, replicas)
 
 
 def sample_box_integrals(model: FieldModel, boxes: list[Box], seed: int,
@@ -503,10 +486,12 @@ def sample_box_integrals(model: FieldModel, boxes: list[Box], seed: int,
             sds, z, out=out[:, col:col + len(z)]), seed, replicas, workers)
         return out
     unique = list(dict.fromkeys(boxes))
+    linear = model.kind == "iid_block" or is_grid_gaussian(model)
     chunks = [replicas[i:i + REPLICA_CHUNK]
               for i in range(0, len(replicas), REPLICA_CHUNK)] or [replicas]
     rows = np.concatenate(_map_chunks(
-        partial(_replica_pass, model, unique, seed), chunks, workers), axis=1)
+        partial(_weighted_integrals if linear else _grid_integrals, model,
+                unique, seed), chunks, workers), axis=1)
     return rows[[unique.index(b) for b in boxes]]
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from boxcgf.boxes import box, vol
 from boxcgf.cgf import (CgfError, QuadEnvelope, delta_cap, estimate_cgf,
                         exact_cgf, face_scale, iso_length, lambda_grid,
-                        log_pow, oscillation_check, quad_envelope)
+                        log_pow, quad_envelope)
 from boxcgf.fields import FieldModel, exact_box_variance, sample_integrals
 
 GAUSS1 = FieldModel(d=1, kind="gaussian_ma", m=1.0)
@@ -119,31 +119,6 @@ def test_envelope_validation():
         QuadEnvelope(box(2.0), L=1.0, U=0.5, delta=0.1)
     with pytest.raises(CgfError):
         QuadEnvelope(box(2.0), L=0.0, U=1.0, delta=0.0)
-
-
-def test_oscillation_vanishes_for_exact_quadratic():
-    b = box(64.0)
-    est = exact_cgf(GAUSS1, b, lambda_grid(0.5))
-    out = oscillation_check(est, delta=0.5, C2=1.0)
-    assert out["osc"] == pytest.approx(0.0, abs=1e-12)
-    assert out["pass"]
-    assert out["hypothesis_ok"]
-
-
-def test_oscillation_frozen_bound_value():
-    # (82/(3 e^2)) * (2 C2)^3 * delta at C2=1, delta=0.1
-    b = box(64.0)
-    est = exact_cgf(GAUSS1, b, lambda_grid(0.5))
-    out = oscillation_check(est, delta=0.1, C2=1.0)
-    assert out["bound"] == pytest.approx(
-        82.0 / (3.0 * math.e ** 2) * 8.0 * 0.1, rel=1e-12)
-    assert out["bound"] == pytest.approx(2.9593315268, rel=1e-9)
-
-
-def test_oscillation_rejects_wide_window():
-    est = exact_cgf(GAUSS1, box(64.0), lambda_grid(1.0))
-    with pytest.raises(CgfError):
-        oscillation_check(est, delta=0.8, C2=1.0)
 
 
 @given(st.floats(min_value=0.01, max_value=0.45),

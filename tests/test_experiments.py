@@ -359,6 +359,21 @@ def test_audit_base_volume_at_most_one_is_a_flagged_row(workers, tmp_path,
         assert rep.to_csv().splitlines()[3:] == [x.splitlines()[1] for x in single]
 
 
+@pytest.mark.parametrize("engine, note", [
+    ({}, "volume below the descent threshold"),
+    ({"c2_prop": 0.5}, "width below W"),
+])
+def test_audit_box_of_volume_one_fails_its_ladder(engine, note):
+    # log vol = 0 leaves the box no descent range: the row's ladder check
+    # fails with ladder_descent's own reason, the climb rows stand
+    cfg = small_config(boxes=[[1.0], [64.0]], audit_base_scale=1.0,
+                       engine=dict(small_config().raw["engine"], **engine))
+    first, second = RUNNERS["audit"](cfg).rows
+    assert not first["ladder_ok"] and first["note"] == note
+    assert first["sound"] and first["pass"] and not first["flagged"]
+    assert second["levels"] == 6
+
+
 def test_audit_fit_blocks_match_one_box_runs():
     # more distinct bases than one fit block, the last block short: each
     # row must be the row of a run on its box alone
@@ -583,6 +598,13 @@ def test_cli_bad_config_is_exit_2(tmp_path):
     ({"engine": {"c1": math.nan}}, "need 0 < c1 < inf, got nan"),
     ({"engine": {"c1": 4.0, "w_min": math.nan}},
      "need 0 < w_min < inf, got nan"),
+    ({"c_grid": [0.0, 2.0]}, "c_grid entries must be positive and finite, got 0.0"),
+    ({"c_grid": [2.0, -1.5]},
+     "c_grid entries must be positive and finite, got -1.5"),
+    ({"additivity_pairs": [[-100.0, 500.0]]},
+     "additivity_pairs entries must be positive and finite, got -100.0"),
+    ({"additivity_pairs": [[100.0, 0.0]]},
+     "additivity_pairs entries must be positive and finite, got 0.0"),
 ])
 def test_cli_malformed_config_is_exit_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"

@@ -16,7 +16,7 @@ from boxcgf.fields import (FieldModel, FieldModelError, NoClosedFormError,
                            discrete_box_std, discrete_box_variance,
                            exact_box_variance, exact_sigma2, kernel_weight,
                            sample_box_integrals, sample_integral,
-                           sample_integrals, standard_batches, white_noise)
+                           sample_integrals, white_noise)
 
 GAUSS1 = FieldModel(d=1, kind="gaussian_ma", m=1.0)
 
@@ -176,9 +176,20 @@ def test_gaussian_batch_matches_grid_simulation_law():
     expect_var = discrete_box_variance(GAUSS1, b)
     assert batch.mean() == pytest.approx(0.0, abs=4 * math.sqrt(expect_var / 40000))
     assert batch.var() == pytest.approx(expect_var, rel=0.05)
-    # the per-replica grid path has the same variance
-    grid = np.array([sample_integral(GAUSS1, b, 11, i) for i in range(2000)])
+    # the grid simulation of the same moving average has the same variance
+    simulated = dataclasses.replace(GAUSS1, kind="bounded_nonlinear_ma")
+    grid = sample_integrals(simulated, b, 11, 2000)
     assert grid.var() == pytest.approx(expect_var, rel=0.15)
+
+
+@pytest.mark.parametrize("nonlinearity", fields.NONLINEARITIES)
+@pytest.mark.parametrize("kind", fields.KINDS)
+def test_sample_integral_is_one_replica_of_sample_integrals(kind, nonlinearity):
+    # replica r names one realization, whichever sampler draws it
+    model = FieldModel(d=1, kind=kind, m=1.0, nonlinearity=nonlinearity)
+    many = sample_integrals(model, box(25.0), 42, 5)
+    assert [sample_integral(model, box(25.0), 42, r)
+            for r in range(5)] == many.tolist()
 
 
 def _per_line_correlate(noise, taps):
@@ -442,12 +453,17 @@ def test_block_integrals_match_per_replica_reference(model, boxes):
             _reference_block_integral(model, b, 31, i) for i in range(3)]
 
 
+def _standard_batches(seed, n):
+    # the first n standard normals of the batch stream, chunk by chunk
+    return fields.map_batch(lambda col, z: z, seed, range(n))
+
+
 def test_sample_integrals_is_the_one_box_pass():
     b = box(40.0)
     np.testing.assert_array_equal(
         sample_integrals(CLIPPED1, b, 4, 5),
         sample_box_integrals(CLIPPED1, [b], 4, range(5))[0])
-    z = np.concatenate(list(standard_batches(4, 7)))[3:]
+    z = np.concatenate(list(_standard_batches(4, 7)))[3:]
     np.testing.assert_array_equal(
         sample_box_integrals(GAUSS1, [b, box(10.0)], 4, range(3, 7)),
         [discrete_box_std(GAUSS1, bb) * z for bb in (b, box(10.0))])
@@ -457,7 +473,7 @@ def test_sample_integrals_is_the_one_box_pass():
 def test_gaussian_range_draws_only_its_batch_chunks(workers, draws):
     chunk = 1 << 16
     replicas = range(3 * chunk + 5, 4 * chunk + 9)
-    full = np.concatenate(list(standard_batches(8, replicas.stop)))
+    full = np.concatenate(list(_standard_batches(8, replicas.stop)))
     draws.clear()
     boxes = [box(10.0), box(200.0)]
     got = sample_box_integrals(GAUSS1, boxes, 8, replicas, workers)
@@ -492,7 +508,7 @@ def test_sample_integrals_chunking_invariant():
 @pytest.mark.parametrize("n", [1000, 1 << 16, 100_000])
 def test_gaussian_sample_integrals_scale_the_standard_batch(n):
     b = box(10.0)
-    chunks = list(standard_batches(3, n))
+    chunks = list(_standard_batches(3, n))
     assert [len(z) for z in chunks] == [1 << 16] * (n // (1 << 16)) + (
         [n % (1 << 16)] if n % (1 << 16) else [])
     np.testing.assert_array_equal(
