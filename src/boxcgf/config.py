@@ -77,10 +77,20 @@ class ExperimentConfig:
             raise ConfigError("seed must fit in u64")
         if not self.boxes:
             raise ConfigError("need at least one box")
-        scale = self.audit_base_scale
-        if scale is not None and not 0.0 < scale < math.inf:
-            raise ConfigError("audit_base_scale must be positive and finite, "
-                              f"got {scale!r}")
+        # a verdict must be neither vacuous nor impossible
+        for key in ("lrp_tolerance", "mdp_tolerance"):
+            x = getattr(self, key)
+            if not 0.0 <= x < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {x!r}")
+        for key in ("lrp_lambda_bound", "audit_base_scale"):
+            x = getattr(self, key)
+            if x is not None and not 0.0 < x < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, "
+                                  f"got {x!r}")
+        for pair in self.additivity_pairs:
+            if len(pair) != 2:
+                raise ConfigError("additivity_pairs entries must be pairs "
+                                  f"[r, s], got {list(pair)!r}")
         for key, x in ([("c_grid", c) for c in self.c_grid]
                        + [("additivity_pairs", x)
                           for pair in self.additivity_pairs for x in pair]):

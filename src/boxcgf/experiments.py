@@ -157,24 +157,47 @@ def _mdp_importance_row(model, b: Box, samples: np.ndarray, threshold: float,
                 method="importance", hits=hits, flagged=False)
 
 
+def _standard_level(sd: float, t: float) -> float:
+    """The least double q with ``sd * q >= t``, for sd > 0 and t a normal
+    double (thresholds are positive, and far from the subnormals).
+
+    Rounding ``sd * z`` to the nearest double is monotone in z, so
+    ``sd * z >= t`` holds exactly when ``z >= q``: the box's sample
+    reaches t exactly when its standard normal reaches q.
+    """
+    q = t / sd
+    while sd * q >= t:
+        q = math.nextafter(q, -math.inf)
+    while sd * q < t:
+        q = math.nextafter(q, math.inf)
+    return q
+
+
 def _shared_batch_hits(model, boxes: list[Box], thresholds: list[list[float]],
                        seed: int, n: int, workers: int) -> list[list[int]]:
     """hits[i][j] = #{k < n : sd_i * z_k >= thresholds[i][j]}.
 
-    z is the standard batch every Gaussian box shares.  One ``map_batch``
-    task per chunk counts every (box, threshold) pair with the same
-    products and comparisons as counting each box's ``sample_integrals``
-    output, so no box's n samples are ever held.
+    z is the standard batch every Gaussian box shares.  Each pair is
+    counted at its exact level of z (``_standard_level``), so one
+    ``map_batch`` task per chunk sorts the chunk's tail above the lowest
+    level once and reads every pair's count off it by bisection; the
+    counts equal those of each box's ``sample_integrals`` output, and no
+    box's n samples are ever held.
     """
     sds = [discrete_box_std(model, b) for b in boxes]
+    qs = [_standard_level(sd, t)
+          for sd, ts in zip(sds, thresholds) for t in ts]
+    if not qs:
+        return [[] for _ in boxes]
+    levels, pair_level = np.unique(qs, return_inverse=True)
 
-    def count(_, z: np.ndarray) -> list[list[int]]:
-        return [[int(np.count_nonzero(s >= t)) for t in levels]
-                for s, levels in zip((sd * z for sd in sds), thresholds)]
+    def count(_, z: np.ndarray) -> np.ndarray:
+        tail = np.sort(np.compress(z >= levels[0], z))
+        return len(tail) - np.searchsorted(tail, levels)
 
-    per_chunk = map_batch(count, seed, range(n), workers)
-    return [[sum(chunk) for chunk in zip(*box_counts)]
-            for box_counts in zip(*per_chunk)]
+    hits = iter(sum(map_batch(count, seed, range(n), workers))[pair_level]
+                .tolist())
+    return [[next(hits) for _ in ts] for ts in thresholds]
 
 
 def _mdp_levels(cfg: ExperimentConfig, b: Box,

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boxcgf import experiments, fields
 from boxcgf.boxes import Box, halve_n, vol
@@ -53,6 +55,7 @@ def test_config_validation():
                                               "m": 1.0}})  # missing keys
     assert small_config(n_samples=1e5).n_samples == 100_000  # integral float
     assert small_config(mdp_tolerance=1).mdp_tolerance == 1.0  # int is a number
+    assert small_config(lrp_tolerance=0, mdp_tolerance=0).mdp_tolerance == 0.0
     model = dict(small_config().raw["model"], d=1.0)
     assert type(small_config(model=model).model.d) is int  # integral float
 
@@ -160,6 +163,42 @@ def test_mdp_shared_batch_pass_matches_per_box_counts(n_samples, monkeypatch):
     got = [(r["hits"], r["value"], r["ci"], r["method"]) for r in rep.rows]
     assert repr(got) == repr(expect)
     assert got[2][0] == 0 and got[0][0] > 0
+
+
+# sd and t over 300 decades: every t / sd is a normal double
+@given(st.floats(min_value=1e-150, max_value=1e150),
+       st.floats(min_value=1e-150, max_value=1e150))
+def test_standard_level_is_the_least_double_reaching_the_threshold(sd, t):
+    q = experiments._standard_level(sd, t)
+    assert sd * q >= t
+    assert sd * math.nextafter(q, -math.inf) < t
+
+
+def test_shared_batch_hits_are_exact_at_sample_boundaries():
+    # thresholds at sd_i * z_k and one ulp either side, for batch values z_k
+    # of the upper tail; a duplicated box, and 10 sd for a zero-hit level
+    model = small_config().model
+    boxes = [Box((200.0,)), Box((1000.0,)), Box((200.0,))]
+    seed, n = 31, (1 << 16) + 500
+    z = np.concatenate(fields.map_batch(lambda _, chunk: chunk, seed,
+                                        range(n)))
+    sds = [discrete_box_std(model, b) for b in boxes]
+    ks = np.random.default_rng(0).choice(np.flatnonzero(z > 1.0), 40)
+    thresholds = []
+    for sd in sds:
+        ts = [10.0 * sd]
+        for t in sd * z[ks]:
+            ts += [math.nextafter(t, -math.inf), float(t),
+                   math.nextafter(t, math.inf)]
+        thresholds.append(ts)
+    got = experiments._shared_batch_hits(model, boxes, thresholds, seed, n, 2)
+    expect = [[int(np.count_nonzero(sd * z >= t)) for t in ts]
+              for sd, ts in zip(sds, thresholds)]
+    assert got == expect
+    assert expect[0][0] == 0 and min(expect[1][1:]) > 0
+    # an empty c_grid counts no pair
+    assert experiments._shared_batch_hits(model, boxes, [[]] * 3, seed, n,
+                                          1) == [[]] * 3
 
 
 def test_mdp_importance_rows_match_per_box_reference():
@@ -605,6 +644,19 @@ def test_cli_bad_config_is_exit_2(tmp_path):
      "additivity_pairs entries must be positive and finite, got -100.0"),
     ({"additivity_pairs": [[100.0, 0.0]]},
      "additivity_pairs entries must be positive and finite, got 0.0"),
+    ({"additivity_pairs": [[100.0, 200.0, 300.0]]},
+     "additivity_pairs entries must be pairs [r, s], got [100.0, 200.0, 300.0]"),
+    ({"additivity_pairs": [[100.0, 200.0], [1.0]]},
+     "additivity_pairs entries must be pairs [r, s], got [1.0]"),
+    ({"mdp_tolerance": math.inf}, "mdp_tolerance must be finite and >= 0, got inf"),
+    ({"mdp_tolerance": -1}, "mdp_tolerance must be finite and >= 0, got -1.0"),
+    ({"lrp_tolerance": math.nan}, "lrp_tolerance must be finite and >= 0, got nan"),
+    ({"lrp_lambda_bound": -1},
+     "lrp_lambda_bound must be positive and finite, got -1.0"),
+    ({"lrp_lambda_bound": 0.0},
+     "lrp_lambda_bound must be positive and finite, got 0.0"),
+    ({"lrp_lambda_bound": math.inf},
+     "lrp_lambda_bound must be positive and finite, got inf"),
 ])
 def test_cli_malformed_config_is_exit_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
