@@ -78,6 +78,11 @@ class ExperimentConfig:
         if not self.boxes:
             raise ConfigError("need at least one box")
         # a verdict must be neither vacuous nor impossible
+        if not self.c_grid:
+            raise ConfigError("c_grid must not be empty")
+        if not any(mu != 0.0 for mu in self.mu_grid):
+            raise ConfigError("mu_grid needs a nonzero entry, "
+                              f"got {self.mu_grid!r}")
         for key in ("lrp_tolerance", "mdp_tolerance"):
             x = getattr(self, key)
             if not 0.0 <= x < math.inf:

@@ -31,13 +31,16 @@ from .fields import (discrete_box_std, discrete_box_variance,
                      exact_box_variance, exact_sigma2, is_gaussian,
                      is_grid_gaussian, map_batch, sample_box_integrals,
                      sample_integrals)
+from .ks import ks_norm
 from .report import ExperimentReport
 from .tails import log_normal_tail
 
-# The scipy module each subcommand's rows use.  The CLI imports it before
-# it enters the runner, so no import runs inside a timed run; the other
-# subcommands never load scipy.
-SCIPY_MODULES = {"clt": "scipy.stats", "mdp": "scipy.special"}
+# The scipy module each subcommand's rows use: clt's KS test reads ``ndtr``
+# and ``smirnov`` (``ks.ks_norm``), mdp's normal tail ``log_ndtr``.  The
+# CLI imports it before it enters the runner, so no import runs inside a
+# timed run; the other subcommands never load scipy, and none loads
+# ``scipy.stats``.
+SCIPY_MODULES = {"clt": "scipy.special", "mdp": "scipy.special"}
 
 
 def _runner(name: str, columns: list[str], rows,
@@ -278,7 +281,8 @@ def _clt_units(cfg: ExperimentConfig, workers: int) -> list[tuple]:
 
 
 def _clt_rows(cfg: ExperimentConfig, unit: tuple, workers: int) -> list[dict]:
-    """KS goodness of fit of vol^(-1/2) * integral against N(0, sigma^2).
+    """KS goodness of fit of vol^(-1/2) * integral against N(0, sigma^2),
+    by ``ks.ks_norm``: scipy's ``kstest`` statistic and exact p-value.
 
     sigma^2 is the continuum variance for a Gaussian moving average, the
     exact variance of the sampled integral (``discrete_box_variance``) for
@@ -300,12 +304,10 @@ def _clt_rows(cfg: ExperimentConfig, unit: tuple, workers: int) -> list[dict]:
                      n_replicas=cfg.n_replicas, sigma2_hat=sigma2_hat,
                      sigma2_ref=sigma2_ref, ks_stat=float("nan"),
                      p_value=float("nan"), **{"pass": False}, flagged=True)]
-    from scipy.stats import kstest
-
-    stat, p = kstest(y, "norm", args=(0.0, math.sqrt(sigma2_ref)))
+    stat, p = ks_norm(y, math.sqrt(sigma2_ref))
     return [dict(d=model.d, sides=b.sides, vol=v, n_replicas=cfg.n_replicas,
                  sigma2_hat=sigma2_hat, sigma2_ref=sigma2_ref,
-                 ks_stat=float(stat), p_value=float(p),
+                 ks_stat=stat, p_value=p,
                  **{"pass": bool(p > 0.01)}, flagged=False)]
 
 

@@ -657,6 +657,9 @@ def test_cli_bad_config_is_exit_2(tmp_path):
      "lrp_lambda_bound must be positive and finite, got 0.0"),
     ({"lrp_lambda_bound": math.inf},
      "lrp_lambda_bound must be positive and finite, got inf"),
+    ({"c_grid": []}, "c_grid must not be empty"),
+    ({"mu_grid": [0.0]}, "mu_grid needs a nonzero entry, got [0.0]"),
+    ({"mu_grid": []}, "mu_grid needs a nonzero entry, got []"),
 ])
 def test_cli_malformed_config_is_exit_2(tmp_path, capsys, change, message):
     path = tmp_path / "cfg.json"
@@ -748,12 +751,12 @@ SRC = str(Path(experiments.__file__).resolve().parent.parent)
 FRESH_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 # Runs the CLI in this fresh interpreter and prints, as JSON, the modules
-# that entered sys.modules while the runner ran.  argv[1] == "1" makes
-# scipy unimportable first.
+# that entered sys.modules while the runner ran.  argv[1], unless empty,
+# names a module to make unimportable first.
 FRESH_RUN = """
 import json, sys
-if sys.argv[1] == "1":
-    sys.modules["scipy"] = None
+if sys.argv[1]:
+    sys.modules[sys.argv[1]] = None
 from boxcgf import cli
 runner = cli.RUNNERS[sys.argv[2]]
 loaded = []
@@ -772,11 +775,12 @@ sys.exit(code)
 
 
 def fresh_run(command: str, config: Path, out: Path,
-              block_scipy: bool) -> tuple[list, bytes]:
+              block: str = "") -> tuple[list, bytes]:
     """(modules the runner loaded, CSV bytes) of a config at one worker,
-    run in a new interpreter."""
+    run in a new interpreter where the module ``block`` names, if any,
+    cannot be imported."""
     proc = subprocess.run(
-        [sys.executable, "-c", FRESH_RUN, "1" if block_scipy else "0", command,
+        [sys.executable, "-c", FRESH_RUN, block, command,
          "--config", str(config), "--out", str(out)],
         capture_output=True, text=True, env=FRESH_ENV)
     assert proc.returncode == 0, proc.stderr
@@ -801,8 +805,7 @@ def test_default_runner_imports_nothing(name, tmp_path):
     cfg["n_replicas"] = min(cfg["n_replicas"], 500)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
-    loaded, _ = fresh_run(name.split("_")[0], config, tmp_path,
-                          block_scipy=False)
+    loaded, _ = fresh_run(name.split("_")[0], config, tmp_path)
     assert loaded == []
 
 
@@ -811,5 +814,15 @@ def test_default_runner_imports_nothing(name, tmp_path):
     if p.stem.split("_")[0] not in SCIPY_MODULES))
 def test_default_config_runs_without_scipy(name, tmp_path):
     _, csv = fresh_run(name.split("_")[0], CONFIGS / f"{name}.json",
-                       tmp_path, block_scipy=True)
+                       tmp_path, block="scipy")
+    assert hashlib.sha256(csv).hexdigest()[:16] == DEFAULT_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in CONFIGS.glob("*.json")
+    if p.stem.split("_")[0] in SCIPY_MODULES))
+def test_default_config_runs_without_scipy_stats(name, tmp_path):
+    # clt's KS p-value comes from boxcgf.ks and scipy.special alone
+    _, csv = fresh_run(name.split("_")[0], CONFIGS / f"{name}.json",
+                       tmp_path, block="scipy.stats")
     assert hashlib.sha256(csv).hexdigest()[:16] == DEFAULT_CSV_SHA256[name]

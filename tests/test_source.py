@@ -14,6 +14,28 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _names_scipy_stats(node) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    elif isinstance(node, ast.Constant):  # importlib.import_module's argument
+        names = [node.value] if isinstance(node.value, str) else []
+    else:
+        return False
+    return any(name == "scipy.stats" or name.startswith("scipy.stats.")
+               for name in names)
+
+
+def test_package_never_imports_scipy_stats():
+    # clt's KS test is boxcgf.ks; scipy.stats alone costs half a second
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _names_scipy_stats(node)]
+    assert found == []
+
+
 def test_thread_pool_is_written_in_one_module():
     # every parallel map goes through the one in-order chunk map
     named = [path.name for path in sorted(PACKAGE.glob("*.py"))
